@@ -204,6 +204,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
     if resolved["n_fine"] % resolved["n_coarse"] != 0:
         problems.append(
             f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")
+    if experiment == "amerasian" and resolved["reference_paths"] < oracle.MIN_MC_PATHS:
+        problems.append(f"reference_paths={resolved['reference_paths']} must be "
+                        f"at least {oracle.MIN_MC_PATHS}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -225,7 +228,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             seed=resolved["seed"],
             y0_init=resolved.get("y0_init"),
         )
-    except (solver.SpecError, sde.GridError, sde.ModelError) as exc:
+        if experiment == "lookback":
+            _lookback_params(spec)  # the closed-form reference must apply
+    except (solver.SpecError, sde.GridError, sde.ModelError,
+            oracle.OracleDomainError) as exc:
         raise ConfigError(str(exc)) from exc
     return HarnessConfig(experiment=experiment, profile=profile, spec=spec,
                          out=resolved.get("out"), workers=resolved["workers"],
@@ -262,13 +268,18 @@ def config_document(cfg: HarnessConfig) -> dict:
     }
 
 
+def _lookback_params(spec: solver.ExperimentSpec) -> oracle.LookbackParams:
+    """The lookback claim at time 0; raises ``OracleDomainError`` off its domain."""
+    x0 = spec.model.x0[0]
+    return oracle.LookbackParams(x0, x0, spec.model.rate, spec.model.sigma[0],
+                                 spec.grid.horizon)
+
+
 def reference_values(cfg: HarnessConfig) -> dict:
     """Oracle references for one experiment configuration."""
     spec = cfg.spec
     if cfg.experiment == "lookback":
-        x0 = spec.model.x0[0]
-        price = oracle.lookback_price(oracle.LookbackParams(
-            x0, x0, spec.model.rate, spec.model.sigma[0], spec.grid.horizon))
+        price = oracle.lookback_price(_lookback_params(spec))
         return {"reference": price, "kind": "analytic lookback value"}
     if cfg.experiment == "quadratic":
         value = oracle.quadratic_pde_solution(

@@ -130,55 +130,6 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray):
     return grads, g
 
 
-def stacked_forward(params_list: list, x: np.ndarray):
-    """Evaluate several same-shaped MLPs at once, one batch each.
-
-    ``x`` has shape ``(N, B, in)`` with ``x[n]`` feeding ``params_list[n]``.
-    A batched-matmul fast path over the per-net loop; returns
-    ``(outputs (N, B, out), cache)``.
-    """
-    spec = params_list[0].spec
-    weights = [np.stack([p.weights[l] for p in params_list])
-               for l in range(len(params_list[0].weights))]
-    biases = [np.stack([p.biases[l] for p in params_list])
-              for l in range(len(params_list[0].biases))]
-    h = x
-    pre, post = [], [x]
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w + b[:, None, :]
-        pre.append(z)
-        h = z if l == last else _act(z, spec.activation)
-        post.append(h)
-    return h, (weights, pre, post)
-
-
-def stacked_backward(params_list: list, cache, cotangent: np.ndarray):
-    """Reverse pass of :func:`stacked_forward`.
-
-    Returns ``(per_net_grads, input_grads)`` where ``per_net_grads[n]``
-    aligns with ``params_list[n].parameters()``.
-    """
-    spec = params_list[0].spec
-    weights, pre, post = cache
-    n_layers = len(weights)
-    g = cotangent
-    stacked_dw, stacked_db = [None] * n_layers, [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        if l != n_layers - 1:
-            g = g * _act_grad(pre[l], spec.activation)
-        stacked_dw[l] = np.einsum("nbi,nbo->nio", post[l], g)
-        stacked_db[l] = g.sum(axis=1)
-        g = g @ weights[l].transpose(0, 2, 1)
-    per_net = []
-    for n in range(len(params_list)):
-        grads = []
-        for l in range(n_layers):
-            grads.extend((stacked_dw[l][n], stacked_db[l][n]))
-        per_net.append(grads)
-    return per_net, g
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators for one flat parameter list."""
@@ -249,15 +200,9 @@ def embed_stream(params: EmbeddingParams, stream: np.ndarray):
     return stream @ params.weight + params.bias, stream
 
 
-def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray):
-    """Reverse of :func:`embed_stream`; returns ``([dW, db], input_grad)``.
-
-    ``input_grad`` is taken with respect to the unscaled input stream.
-    """
+def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray) -> list:
+    """Reverse of :func:`embed_stream`; returns the parameter gradients ``[dW, db]``."""
     stream = cache
     flat_in = stream.reshape(-1, stream.shape[-1])
     flat_g = cotangent.reshape(-1, cotangent.shape[-1])
-    input_grad = cotangent @ params.weight.T
-    if params.input_scale is not None:
-        input_grad = input_grad * params.input_scale
-    return [flat_in.T @ flat_g, flat_g.sum(axis=0)], input_grad
+    return [flat_in.T @ flat_g, flat_g.sum(axis=0)]

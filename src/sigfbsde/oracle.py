@@ -14,6 +14,9 @@ class OracleDomainError(ValueError):
     """Inputs leave the validity region of a closed-form reference."""
 
 
+MIN_MC_PATHS = 1000  # fewest paths asian_european_mc accepts
+
+
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the error function."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
@@ -90,8 +93,8 @@ def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
     using the same fine-grid quadrature as the solvers.  Returns
     ``(estimate, standard_error)``.
     """
-    if n_paths < 1000:
-        raise ValueError(f"n_paths must be >= 1000, got {n_paths}")
+    if n_paths < MIN_MC_PATHS:
+        raise ValueError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
     w = np.asarray(weights, dtype=float)
     disc = math.exp(-model.rate * grid.horizon)
     total, total_sq, done = 0.0, 0.0, 0

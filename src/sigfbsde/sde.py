@@ -182,26 +182,13 @@ def coarsen(batch: PathBatch, grid: GridSpec | None = None):
     return coarse_states, coarse_increments
 
 
-def _states_of(batch) -> np.ndarray:
-    return batch.states if isinstance(batch, PathBatch) else np.asarray(batch)
-
-
-def running_integral(batch, weights) -> np.ndarray:
+def running_integral(batch: PathBatch, weights) -> np.ndarray:
     """Left-endpoint Riemann sums of ``sum_i w_i X^i`` along the fine grid.
 
     Entry 0 is 0; entry ``n_fine`` approximates the integral over the full
     horizon.  Shape ``(B, n_fine+1)``.
     """
-    states = _states_of(batch)
-    h = batch.grid.h if isinstance(batch, PathBatch) else None
-    if h is None:
-        raise ValueError("running_integral needs a PathBatch (for the step size)")
-    weighted = states @ np.asarray(weights, dtype=float)
+    weighted = batch.states @ np.asarray(weights, dtype=float)
     out = np.zeros(weighted.shape)
-    np.cumsum(weighted[:, :-1] * h, axis=1, out=out[:, 1:])
+    np.cumsum(weighted[:, :-1] * batch.grid.h, axis=1, out=out[:, 1:])
     return out
-
-
-def running_min(batch) -> np.ndarray:
-    """Prefix minimum over fine-grid nodes, per channel."""
-    return np.minimum.accumulate(_states_of(batch), axis=1)

@@ -265,44 +265,24 @@ def chen_step_vjp(prev: Levels, inc: np.ndarray, cot: Levels) -> tuple[Levels, n
 
 
 def log_of_group_vjp(s: Levels, cot: Levels) -> Levels:
-    """Cotangent of :func:`log_of_group` with respect to the input levels."""
-    m = len(s)
-    d = int(round(s[0].shape[-1]))
-    # powers of u = s - 1 up to u^{m-1}, tracked as (unit, levels, min_level)
-    powers: list[tuple[float, Levels | None, int]] = [(1.0, None, m + 1)]
-    if m >= 2:
-        powers.append((0.0, s, 1))
-    for q in range(2, m):
-        powers.append((0.0, product(powers[q - 1][1], s, 0.0, 0.0), q))
+    """Cotangent of :func:`log_of_group` with respect to the input levels.
 
-    grad = [np.zeros_like(lvl) for lvl in s]
-    for n in range(1, m + 1):
+    ``log(s) = s + sum_{n=2..m} (-1)**(n+1) / n * u_n`` with the product chain
+    ``u_1 = s``, ``u_n = u_{n-1} ⊗ s`` (units 0); the chain is walked back
+    from ``u_m`` with :func:`product_vjp`.
+    """
+    m = len(s)
+    powers = [s]
+    for _ in range(2, m):
+        powers.append(product(powers[-1], s, 0.0, 0.0))
+    grad = copy_levels(cot)
+    carry = [np.zeros_like(c) for c in cot]  # cotangent of u_n from u_{n+1}
+    for n in range(m, 1, -1):
         coeff = (-1.0) ** (n + 1) / n
-        for p in range(1, n + 1):
-            lu, llev, lmin = powers[p - 1]
-            ru, rlev, rmin = powers[n - p]
-            for j in range(1, m + 1):
-                for i in ([0] if llev is None else range(lmin, m - j + 1)):
-                    for kk in ([0] if rlev is None else range(rmin, m - j - i + 1)):
-                        lvl = i + j + kk
-                        if lvl > m:
-                            continue
-                        c = cot[lvl - 1]
-                        if i == 0 and kk == 0:
-                            grad[j - 1] += (coeff * lu * ru) * c
-                        elif i == 0:
-                            mat = c.reshape(c.shape[:-1] + (d ** j, d ** kk))
-                            grad[j - 1] += (coeff * lu) * np.einsum(
-                                "...jk,...k->...j", mat, rlev[kk - 1])
-                        elif kk == 0:
-                            mat = c.reshape(c.shape[:-1] + (d ** i, d ** j))
-                            grad[j - 1] += (coeff * ru) * np.einsum(
-                                "...ij,...i->...j", mat, llev[i - 1])
-                        else:
-                            mat = c.reshape(c.shape[:-1] + (d ** i, d ** j, d ** kk))
-                            grad[j - 1] += coeff * np.einsum(
-                                "...ijk,...i,...k->...j", mat, llev[i - 1], rlev[kk - 1])
-    return grad
+        g_power = [coeff * c + g for c, g in zip(cot, carry)]
+        carry, g_s = product_vjp(powers[n - 2], s, g_power, 0.0, 0.0)
+        grad = [g + h for g, h in zip(grad, g_s)]
+    return [g + h for g, h in zip(grad, carry)]
 
 
 # ---------------------------------------------------------------------------

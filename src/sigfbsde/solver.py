@@ -1,7 +1,10 @@
 """Training procedures for path-dependent FBSDEs on signature features.
 
 Three schemes share one feature pipeline (simulate, optionally embed,
-time-augment, stream prefix signatures at the coarse dates):
+time-augment, stream prefix signatures at the coarse dates) and one
+training step, :func:`train_step`, which reads the scheme from
+``spec.method`` as data: a sign, the order of the coarse dates, the start
+value and, for ``reflected`` only, an exercise floor.
 
 * ``forward``  — a trainable initial value is propagated to maturity and
   fitted by matching the terminal payoff in mean square;
@@ -59,7 +62,7 @@ class DriverKind:
         if self.rate < 0:
             raise SpecError(f"driver rate must be nonnegative, got {self.rate}")
 
-    def f(self, t, x, y, z):
+    def f(self, y):
         if self.kind == "discount":
             return -self.rate * y
         return np.zeros_like(y)
@@ -67,10 +70,6 @@ class DriverKind:
     def dy(self) -> float:
         """``∂f/∂y`` (constant for both supported drivers)."""
         return -self.rate if self.kind == "discount" else 0.0
-
-    def dz(self) -> float:
-        """``∂f/∂z`` (identically zero for both supported drivers)."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -100,33 +99,31 @@ class PayoffKind:
         return np.full(dim, 1.0 / dim) if self.kind == "asian-basket-call" \
             else np.ones(dim)
 
-    def terminal(self, batch: sde.PathBatch) -> np.ndarray:
+    def values(self, batch: sde.PathBatch) -> tuple:
+        """Terminal payoff ``(B,)`` and early-exercise payoff ``(B, N+1)``.
+
+        The early-exercise payoff at coarse date ``n`` takes the running
+        average over ``[0, t_n]`` in place of the full-horizon average; at
+        ``t_0`` the spot basket value stands in for it.  It is ``None`` for
+        payoffs without early exercise.  Both come from one running integral.
+        """
         d = batch.states.shape[-1]
         if self.kind == "lookback":
             if d != 1:
                 raise SpecError("lookback payoff is defined for a single asset")
-            return batch.states[:, -1, 0] - batch.states[:, :, 0].min(axis=1)
+            return batch.states[:, -1, 0] - batch.states[:, :, 0].min(axis=1), None
+        w = self._weights(d)
+        integral = sde.running_integral(batch, w)
         if self.kind == "quadratic-integral":
-            return sde.running_integral(batch, self._weights(d))[:, -1] ** 2
-        avg = sde.running_integral(batch, self._weights(d))[:, -1] / batch.grid.horizon
-        return np.maximum(avg - self.strike, 0.0)
-
-    def exercise_values(self, batch: sde.PathBatch) -> np.ndarray:
-        """Early-exercise payoff at every coarse date, shape ``(B, N+1)``.
-
-        The running average over ``[0, t_n]`` replaces the full-horizon
-        average; at ``t_0`` the spot basket value stands in for it.
-        """
-        if not self.supports_exercise:
-            raise SpecError(f"{self.kind!r} payoff has no early-exercise value")
+            return integral[:, -1] ** 2, None
         grid = batch.grid
-        w = self._weights(batch.states.shape[-1])
-        integral = sde.running_integral(batch, w)[:, ::grid.fine_per_segment]
         t = np.arange(grid.n_coarse + 1) * grid.dt
-        avg = np.empty_like(integral)
+        avg = np.empty((batch.batch_size, grid.n_coarse + 1))
         avg[:, 0] = batch.states[:, 0, :] @ w
-        avg[:, 1:] = integral[:, 1:] / t[1:]
-        return np.maximum(avg - self.strike, 0.0)
+        avg[:, 1:] = integral[:, ::grid.fine_per_segment][:, 1:] / t[1:]
+        terminal = integral[:, -1] / grid.horizon
+        return (np.maximum(terminal - self.strike, 0.0),
+                np.maximum(avg - self.strike, 0.0))
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,7 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
     while remaining > 0:
         b = min(chunk, remaining)
         batch = sde.simulate_batch(spec.model, spec.grid, b, seed, path_offset=offset)
-        total += float(np.sum(spec.payoff.terminal(batch)))
+        total += float(np.sum(spec.payoff.values(batch)[0]))
         count += b
         remaining -= b
         offset += b
@@ -368,8 +365,7 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
         taps[n * grid_m] = levels
     grad_inc = engine.stream_pullback(cache.sigs, cache.increments, taps)
     node_grads = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
-    grads, _ = net.embed_backward(state.embedding, cache.stream_cache, node_grads)
-    return grads
+    return net.embed_backward(state.embedding, cache.stream_cache, node_grads)
 
 
 def _check_finite(loss: float, spec: ExperimentSpec, state: TrainState, seed: int):
@@ -379,156 +375,105 @@ def _check_finite(loss: float, spec: ExperimentSpec, state: TrainState, seed: in
             spec.method, state.iteration, seed)
 
 
-def forward_rollout(state: TrainState, spec: ExperimentSpec,
-                    batch: sde.PathBatch, features: np.ndarray):
-    """Propagate the trainable initial value through the coarse recursion.
+def _scheme(spec: ExperimentSpec) -> tuple:
+    """Sign and date order of the coarse recursion for ``spec.method``.
 
-    Returns ``(ys, zs, caches)`` where ``ys[:, n]`` is the value at coarse
-    date ``n`` (so ``ys[:, -1]`` faces the terminal payoff).
+    ``forward`` steps dates ``0..N-1`` towards maturity with sign ``+1``;
+    ``backward`` and ``reflected`` step dates ``N-1..0`` towards time zero
+    with sign ``-1``.
     """
-    coarse_states, coarse_incs = sde.coarsen(batch)
+    n_seg = spec.grid.n_coarse
+    if spec.method == "forward":
+        return 1.0, range(n_seg)
+    return -1.0, range(n_seg - 1, -1, -1)
+
+
+def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
+            features: np.ndarray, coarse_incs: np.ndarray):
+    """Run the coarse recursion in the direction of ``spec.method``.
+
+    ``forward`` starts from the trainable initial value at date 0;
+    ``backward`` and ``reflected`` start from the terminal payoff at date
+    ``N``, and ``reflected`` floors every value at the early-exercise payoff.
+    Date ``n`` links the values at ``n`` and ``n+1`` through
+    ``y - sign*f(y)*dt + sign*Σ z·ΔW``, with ``z`` the output of approximator
+    ``n`` and ``ΔW`` the Brownian increment over segment ``n``.
+
+    Returns ``(ys, payoff, caches, masks)``: ``ys[:, n]`` is the value at
+    coarse date ``n``, ``payoff`` the terminal payoff, ``caches[n]`` the
+    cache of approximator ``n``, and ``masks[n]`` where the value stepped to
+    by date ``n`` stayed on or above the floor (``None`` without a floor).
+    """
+    sign, dates = _scheme(spec)
     n_seg, dt = spec.grid.n_coarse, spec.grid.dt
+    zs, caches = zip(*(net.mlp_forward(state.nets[n], features[n])
+                       for n in range(n_seg)))
+    payoff, exercise = spec.payoff.values(batch)
     ys = np.empty((batch.batch_size, n_seg + 1))
-    ys[:, 0] = float(state.y0)
-    zs, caches = [], []
-    for n in range(n_seg):
-        z, c = net.mlp_forward(state.nets[n], features[n])
-        zs.append(z)
-        caches.append(c)
-        y = ys[:, n]
-        ys[:, n + 1] = y - spec.driver.f(n * dt, coarse_states[:, n, :], y, z) * dt \
-            + np.sum(z * coarse_incs[:, n, :], axis=1)
-    return ys, zs, caches
-
-
-def backward_rollout(state: TrainState, spec: ExperimentSpec,
-                     batch: sde.PathBatch, features: np.ndarray,
-                     reflect: bool):
-    """Roll the terminal payoff backwards through the coarse recursion.
-
-    Returns ``(ys, zs, caches, masks)``; ``ys[:, n]`` is the value at coarse
-    date ``n`` after any reflection, and ``masks[n]`` records where the
-    unreflected value stayed above the exercise floor (``None`` when not
-    reflecting).
-    """
-    coarse_states, coarse_incs = sde.coarsen(batch)
-    n_seg, dt = spec.grid.n_coarse, spec.grid.dt
-    zs, caches = [], []
-    for n in range(n_seg):
-        z, c = net.mlp_forward(state.nets[n], features[n])
-        zs.append(z)
-        caches.append(c)
-    exercise = spec.payoff.exercise_values(batch) if reflect else None
+    if sign > 0:
+        ys[:, 0] = float(state.y0)
+    else:
+        ys[:, n_seg] = payoff
     masks: list = [None] * n_seg
-    ys = np.empty((batch.batch_size, n_seg + 1))
-    ys[:, n_seg] = spec.payoff.terminal(batch)
-    for n in range(n_seg, 0, -1):
-        y = ys[:, n]
-        t_prev = (n - 1) * dt
-        stepped = y + spec.driver.f(t_prev, coarse_states[:, n - 1, :], y,
-                                    zs[n - 1]) * dt \
-            - np.sum(zs[n - 1] * coarse_incs[:, n - 1, :], axis=1)
-        if reflect:
-            masks[n - 1] = stepped >= exercise[:, n - 1]
-            stepped = np.maximum(exercise[:, n - 1], stepped)
-        ys[:, n - 1] = stepped
-    return ys, zs, caches, masks
+    for n in dates:
+        src, dst = (n, n + 1) if sign > 0 else (n + 1, n)
+        y = ys[:, src]
+        y = y - sign * spec.driver.f(y) * dt \
+            + sign * np.sum(zs[n] * coarse_incs[:, n, :], axis=1)
+        if spec.method == "reflected":
+            masks[n] = y >= exercise[:, n]
+            y = np.maximum(exercise[:, n], y)
+        ys[:, dst] = y
+    return ys, payoff, caches, masks
 
 
-def forward_iteration(state: TrainState, spec: ExperimentSpec, seed: int,
-                      update: bool = True):
-    """One terminal-matching step on a fresh batch.
+def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
+               update: bool = True):
+    """One training step of ``spec.method`` on a fresh batch.
 
-    Simulates, rolls the trainable initial value forward through the
-    discretised equation, takes the mean-square terminal mismatch as the
-    loss, and applies one Adam update to every approximator, the initial
-    value, and the embedding (when present).  Returns
-    ``(state, loss, estimate)`` with the estimate being the current
-    trainable initial value.
+    ``forward``: the loss is the mean-square mismatch between the propagated
+    value and the payoff at maturity, and the estimate is the trainable
+    initial value.  ``backward`` and ``reflected``: the loss is the batch
+    variance of the rolled-back initial values, and the estimate is their
+    mean.  With ``update``, the adjoint sweep walks the dates in reverse and
+    one Adam step is applied to every approximator, the embedding (when
+    present) and, for ``forward``, the initial value.  Returns
+    ``(state, loss, estimate)``, the forward estimate taken after the update.
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
-    ys, zs, caches = forward_rollout(state, spec, batch, features)
+    _, coarse_incs = sde.coarsen(batch)
+    ys, payoff, caches, masks = rollout(state, spec, batch, features, coarse_incs)
+    sign, dates = _scheme(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = ys[:, -1] - spec.payoff.terminal(batch)
+        if sign > 0:
+            resid = ys[:, -1] - payoff
+        else:
+            estimate = float(np.mean(ys[:, 0]))
+            resid = ys[:, 0] - estimate
         loss = float(np.mean(resid ** 2))
     _check_finite(loss, spec, state, seed)
 
     if update:
-        _, coarse_incs = sde.coarsen(batch)
-        n_seg, dt = spec.grid.n_coarse, spec.grid.dt
         adj = 2.0 * resid / spec.batch_size
-        step_factor = 1.0 - spec.driver.dy() * dt
+        step_factor = 1.0 - sign * spec.driver.dy() * spec.grid.dt
         feature_cots = np.zeros_like(features) if fcache is not None else None
-        for n in range(n_seg - 1, -1, -1):
-            g_z = adj[:, None] * coarse_incs[:, n, :]
+        for n in reversed(dates):
+            if masks[n] is not None:
+                adj = adj * masks[n]
+            g_z = sign * adj[:, None] * coarse_incs[:, n, :]
             grads, g_x = net.mlp_backward(state.nets[n], caches[n], g_z)
             net.adam_step(state.net_adams[n], state.nets[n].parameters(), grads)
             if feature_cots is not None:
                 feature_cots[n] = g_x
             adj = adj * step_factor
-        net.adam_step(state.y0_adam, [state.y0], [np.asarray(np.sum(adj))])
+        if sign > 0:
+            net.adam_step(state.y0_adam, [state.y0], [np.asarray(np.sum(adj))])
         if fcache is not None:
             egrads = features_backward(state, spec, fcache, feature_cots)
             net.adam_step(state.embed_adam, state.embedding.parameters(), egrads)
         state.iteration += 1
-    return state, loss, float(state.y0)
-
-
-def _backward_pass(state: TrainState, spec: ExperimentSpec, seed: int,
-                   reflect: bool, update: bool):
-    batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
-    features, fcache = features_for_batch(state, batch, spec)
-    ys, zs, caches, masks = backward_rollout(state, spec, batch, features, reflect)
-    y0 = ys[:, 0]
-    estimate = float(np.mean(y0))
-    loss = float(np.mean((y0 - estimate) ** 2))
-    _check_finite(loss, spec, state, seed)
-
-    if update:
-        _, coarse_incs = sde.coarsen(batch)
-        n_seg, dt = spec.grid.n_coarse, spec.grid.dt
-        adj = 2.0 * (y0 - estimate) / spec.batch_size
-        step_factor = 1.0 + spec.driver.dy() * dt
-        feature_cots = np.zeros_like(features) if fcache is not None else None
-        for n in range(1, n_seg + 1):
-            if reflect:
-                adj = adj * masks[n - 1]
-            g_z = -adj[:, None] * coarse_incs[:, n - 1, :]
-            grads, g_x = net.mlp_backward(state.nets[n - 1], caches[n - 1], g_z)
-            net.adam_step(state.net_adams[n - 1], state.nets[n - 1].parameters(), grads)
-            if feature_cots is not None:
-                feature_cots[n - 1] = g_x
-            adj = adj * step_factor
-        if fcache is not None:
-            egrads = features_backward(state, spec, fcache, feature_cots)
-            net.adam_step(state.embed_adam, state.embedding.parameters(), egrads)
-        state.iteration += 1
-    return state, loss, estimate
-
-
-def backward_iteration(state: TrainState, spec: ExperimentSpec, seed: int,
-                       update: bool = True):
-    """One variance-minimisation step on a fresh batch.
-
-    The terminal payoff is rolled backwards through the discretised
-    equation; the loss is the batch variance of the reconstructed initial
-    values and the estimate is their mean.
-    """
-    return _backward_pass(state, spec, seed, reflect=False, update=update)
-
-
-def reflected_iteration(state: TrainState, spec: ExperimentSpec, seed: int,
-                        update: bool = True):
-    """Backward step with the early-exercise floor applied at every date."""
-    return _backward_pass(state, spec, seed, reflect=True, update=update)
-
-
-_ITERATION_OPS = {
-    "forward": forward_iteration,
-    "backward": backward_iteration,
-    "reflected": reflected_iteration,
-}
+    return state, loss, float(state.y0) if sign > 0 else estimate
 
 
 def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
@@ -541,11 +486,10 @@ def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
     spec = spec if run_seed is None else replace(spec, seed=int(run_seed))
     state = init_state(spec)
     report = RunReport(method=spec.method, seed=spec.seed)
-    step = _ITERATION_OPS[spec.method]
     start = time.perf_counter()
     for it in range(spec.iterations):
         seed = derive_seed(spec.seed, 4, it)
-        state, loss, estimate = step(state, spec, seed)
+        state, loss, estimate = train_step(state, spec, seed)
         report.losses.append(loss)
         report.estimates.append(estimate)
         report.elapsed.append(time.perf_counter() - start)
@@ -557,50 +501,10 @@ def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
     elif spec.method == "forward":
         report.final_estimate = float(state.y0)
     else:
-        _, _, estimate = _ITERATION_OPS[spec.method](state, spec,
-                                                     derive_seed(spec.seed, 4, 0),
-                                                     update=False)
+        _, _, estimate = train_step(state, spec, derive_seed(spec.seed, 4, 0),
+                                    update=False)
         report.final_estimate = estimate
     return report
-
-
-def classify_trend(values, dead_band: float) -> str:
-    """Label a trajectory by its least-squares drift over the whole window."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return "keep"
-    x = np.arange(len(values))
-    slope = np.polyfit(x, values, 1)[0]
-    drift = slope * (len(values) - 1)
-    if drift > dead_band:
-        return "increase-guess"
-    if drift < -dead_band:
-        return "decrease-guess"
-    return "keep"
-
-
-def probe_initial_y0(spec: ExperimentSpec, candidate_y0: float, budget: int,
-                     dead_band_fraction: float = 0.25) -> str:
-    """Classify a short forward-training burst started at ``candidate_y0``.
-
-    A drifting estimate means the guess is on the wrong side of the answer;
-    the caller reacts by moving the guess in the drift direction.  The dead
-    band is a fraction of the largest travel the optimiser could achieve in
-    the budget, so undirected wander reads as ``keep``.  Pure heuristic:
-    runs on a throwaway state and never touches the caller's.
-    """
-    if spec.method != "forward":
-        raise SpecError("the initial-value probe applies to the forward method")
-    probe_spec = replace(spec, y0_init=float(candidate_y0), iterations=budget,
-                         seed=derive_seed(spec.seed, 5))
-    state = init_state(probe_spec)
-    estimates = []
-    for it in range(budget):
-        seed = derive_seed(probe_spec.seed, 4, it)
-        state, _, estimate = forward_iteration(state, probe_spec, seed)
-        estimates.append(estimate)
-    dead_band = dead_band_fraction * budget * spec.learning_rate
-    return classify_trend(estimates, dead_band)
 
 
 @dataclass(frozen=True)

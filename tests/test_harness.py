@@ -151,6 +151,27 @@ class TestCli:
         assert code == 2
         assert "divide" in capsys.readouterr().err
 
+    def test_lookback_without_rate_exits_two_before_training(self, tmp_path,
+                                                              capsys):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
+                         "--out", str(out), "--set", "rate=0",
+                         "--set", "iterations=3", "--set", "n_fine=40"])
+        assert code == 2
+        assert "rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_negative_spot_exits_two(self, capsys):
+        code = cli.main(["oracle", "--experiment", "lookback", "--set", "x0=-1"])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_oracle_too_few_reference_paths_exits_two(self, capsys):
+        code = cli.main(["oracle", "--experiment", "amerasian",
+                         "--set", "reference_paths=500"])
+        assert code == 2
+        assert "reference_paths" in capsys.readouterr().err
+
     def test_numerical_abort_exit_three(self, capsys):
         code = cli.main(["run", "--experiment", "quadratic",
                          "--profile", "desk",

@@ -173,13 +173,9 @@ class TestEmbedding:
         params = net.EmbeddingParams(rng.standard_normal((2, 3)),
                                      rng.standard_normal(3), scale)
         stream = rng.standard_normal((4, 5, 2))
-        out, cache = net.embed_stream(params, stream)
+        out, _ = net.embed_stream(params, stream)
         np.testing.assert_allclose(out, (stream * scale) @ params.weight
                                    + params.bias, rtol=1e-12)
-        cot = rng.standard_normal(out.shape)
-        _, gx = net.embed_backward(params, cache, cot)
-        np.testing.assert_allclose(gx, (cot @ params.weight.T) * scale,
-                                   rtol=1e-12)
         assert len(params.parameters()) == 2
 
     def test_channel_mismatch_rejected(self, rng):
@@ -203,7 +199,7 @@ class TestEmbedding:
         embedded, cache = net.embed_stream(params, stream)
         nodes = np.concatenate([times[:, None], embedded], axis=1)
         node_grads = signature_pullback(nodes, depth, cot)[:, 1:]
-        grads, _ = net.embed_backward(params, cache, node_grads)
+        grads = net.embed_backward(params, cache, node_grads)
 
         numeric_w = central_difference(lambda _: objective(None), params.weight)
         numeric_b = central_difference(lambda _: objective(None), params.bias)

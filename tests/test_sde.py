@@ -151,20 +151,6 @@ class TestRunningFunctionals:
         batch = make_batch(rng.standard_normal((3, 9, 2)))
         assert np.all(sde.running_integral(batch, [0.0, 0.0]) == 0.0)
 
-    def test_running_min_constant_on_increasing_path(self):
-        path = np.arange(5.0)[None, :, None] + 1.0
-        out = sde.running_min(make_batch(path))
-        assert np.all(out == 1.0)
-
-    def test_running_min_prefix_example(self):
-        path = np.array([3.0, 1.0, 2.0])[None, :, None]
-        out = sde.running_min(make_batch(path))
-        np.testing.assert_array_equal(out[0, :, 0], [3.0, 1.0, 1.0])
-
-    def test_running_min_below_states(self, rng):
-        batch = make_batch(rng.standard_normal((4, 17, 3)))
-        assert np.all(sde.running_min(batch) <= batch.states)
-
 
 class TestRefinementProperties:
     def test_refining_never_increases_discrete_minimum(self, rng):

@@ -7,6 +7,8 @@ from sigfbsde.sigcore import (DomainError, ShapeMismatchError,
                               TruncatedTensorSeries, segment_signature,
                               sig_dim, truncated_exp, truncated_log,
                               truncated_product)
+from sigfbsde.sigcore import engine
+from conftest import central_difference
 
 
 def series(unit, *levels):
@@ -142,6 +144,24 @@ class TestRoundTrips:
                         s, rtol=1e-12, atol=1e-12)
                     cases += 1
         assert cases >= 100
+
+
+class TestLogVjp:
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_matches_central_differences_on_batched_input(self, rng, depth):
+        channels, batch = 2, (3,)
+        s = [0.5 * rng.standard_normal(batch + (channels ** k,))
+             for k in range(1, depth + 1)]
+        cot = [rng.standard_normal(lvl.shape) for lvl in s]
+
+        def objective(_):
+            return float(sum(np.sum(c * lvl)
+                             for c, lvl in zip(cot, engine.log_of_group(s))))
+
+        grads = engine.log_of_group_vjp(s, cot)
+        for level, grad in zip(s, grads):
+            np.testing.assert_allclose(grad, central_difference(objective, level),
+                                       rtol=1e-6, atol=1e-8)
 
 
 class TestSegmentSignature:

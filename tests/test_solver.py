@@ -173,7 +173,7 @@ class TestForwardIteration:
         spec = constant_payoff_spec(y0_init=1.0)
         state = solver.init_state(spec)
         g = float((2.0 * 1.0) ** 2)  # constant path value 2, unit horizon
-        _, loss, _ = solver.forward_iteration(state, spec, 7, update=False)
+        _, loss, _ = solver.train_step(state, spec, 7, update=False)
         expect = (1.0 * (1.0 + 0.1 * 1.0) - g) ** 2
         assert abs(loss - expect) < 1e-12
 
@@ -187,7 +187,7 @@ class TestForwardIteration:
     def test_first_update_moves_towards_payoff(self):
         spec = constant_payoff_spec(y0_init=1.0)
         state = solver.init_state(spec)
-        _, _, estimate = solver.forward_iteration(state, spec, 7)
+        _, _, estimate = solver.train_step(state, spec, 7)
         # gradient is negative (payoff above), Adam step is +lr
         assert abs(estimate - (1.0 + spec.learning_rate)) < 1e-6
 
@@ -205,7 +205,8 @@ class TestForwardIteration:
             state.nets[n] = net.init_mlp(params.spec, 100 + n, zero_output=False)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 31)
         features, _ = solver.features_for_batch(state, batch, spec)
-        ys, _, _ = solver.forward_rollout(state, spec, batch, features)
+        _, coarse_incs = sde.coarsen(batch)
+        ys, _, _, _ = solver.rollout(state, spec, batch, features, coarse_incs)
         gains = ys[:, -1] - ys[:, 0]
         bound = 3.0 * gains.std(ddof=1) / np.sqrt(spec.batch_size)
         assert abs(gains.mean()) <= bound
@@ -215,7 +216,7 @@ class TestBackwardIteration:
     def test_zero_volatility_variance_is_exactly_zero(self):
         spec = constant_payoff_spec(method="backward", n_coarse=2, n_fine=8)
         state = solver.init_state(spec)
-        _, loss, estimate = solver.backward_iteration(state, spec, 3)
+        _, loss, estimate = solver.train_step(state, spec, 3)
         assert loss == 0.0
         # two explicit discount steps on the constant payoff 4
         assert abs(estimate - 4.0 * (1.0 - 0.05) ** 2) < 1e-12
@@ -245,10 +246,9 @@ class TestBackwardIteration:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 11)
         features, _ = solver.features_for_batch(state, batch, spec)
-        ys, _, _, _ = solver.backward_rollout(state, spec, batch, features,
-                                              reflect=False)
-        _, _, estimate = solver.backward_iteration(state, spec, 11,
-                                                   update=False)
+        _, coarse_incs = sde.coarsen(batch)
+        ys, _, _, _ = solver.rollout(state, spec, batch, features, coarse_incs)
+        _, _, estimate = solver.train_step(state, spec, 11, update=False)
         assert abs(estimate - ys[:, 0].mean()) < 1e-14
 
 
@@ -257,21 +257,20 @@ class TestReflectedIteration:
         spec = amerasian_spec(iterations=3)
         state = solver.init_state(spec)
         for it in range(3):
-            solver.reflected_iteration(state, spec, 100 + it)
+            solver.train_step(state, spec, 100 + it)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 999)
         features, _ = solver.features_for_batch(state, batch, spec)
-        ys, _, _, _ = solver.backward_rollout(state, spec, batch, features,
-                                              reflect=True)
-        exercise = spec.payoff.exercise_values(batch)
+        _, coarse_incs = sde.coarsen(batch)
+        ys, _, _, _ = solver.rollout(state, spec, batch, features, coarse_incs)
+        _, exercise = spec.payoff.values(batch)
         assert np.min(ys - exercise) >= 0.0
 
     def test_zero_volatility_matches_dynamic_programming(self):
         spec = amerasian_spec(model=sde.ModelSpec.geometric(100.0, 0.05, 0.0))
         state = solver.init_state(spec)
-        _, _, estimate = solver.reflected_iteration(state, spec, 55,
-                                                    update=False)
+        _, _, estimate = solver.train_step(state, spec, 55, update=False)
         batch = sde.simulate_batch(spec.model, spec.grid, 1, 55)
-        exercise = spec.payoff.exercise_values(batch)[0]
+        exercise = spec.payoff.values(batch)[1][0]
         dp = oracle.bermudan_deterministic_dp(exercise, 0.05, spec.grid.dt)
         assert abs(estimate - dp) < 1e-10
 
@@ -307,28 +306,6 @@ class TestTrain:
         a = solver.train(spec)
         b = solver.train(spec)
         assert a.estimates == b.estimates and a.losses == b.losses
-
-
-class TestProbe:
-    def test_classify_trend_labels(self):
-        up = np.linspace(0.0, 1.0, 50)
-        down = up[::-1]
-        flat = np.full(50, 0.3)
-        assert solver.classify_trend(up, 0.1) == "increase-guess"
-        assert solver.classify_trend(down, 0.1) == "decrease-guess"
-        assert solver.classify_trend(flat, 0.1) == "keep"
-
-    def test_probe_flags_low_guess(self):
-        spec = lookback_spec(batch_size=32)
-        assert solver.probe_initial_y0(spec, 1.0, 40) == "increase-guess"
-
-    def test_probe_flags_high_guess(self):
-        spec = lookback_spec(batch_size=32)
-        assert solver.probe_initial_y0(spec, 30.0, 40) == "decrease-guess"
-
-    def test_probe_requires_forward_method(self):
-        with pytest.raises(solver.SpecError):
-            solver.probe_initial_y0(amerasian_spec(), 5.0, 10)
 
 
 class TestAggregate:
