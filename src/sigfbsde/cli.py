@@ -37,14 +37,14 @@ def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config, overrides)
     table = harness.run_experiment(cfg)
     summary = table.summary
-    print(f"{cfg.experiment} ({cfg.spec.method}, {cfg.profile}): "
+    print(f"{summary['experiment']} ({summary['method']}, {summary['profile']}): "
           f"mean={summary['mean']:.4f} "
           f"ci=[{summary['ci_low']:.4f}, {summary['ci_high']:.4f}] "
           f"reference={summary['reference']:.4f} ({summary['kind']})")
     if "rel_error" in summary:
         print(f"relative error: {summary['rel_error'] * 100:.2f}%")
-    if cfg.out:
-        print(f"results written to {cfg.out}")
+    if cfg.document["out"]:
+        print(f"results written to {cfg.document['out']}")
     return EXIT_OK
 
 
@@ -54,8 +54,9 @@ def _cmd_oracle(args) -> int:
         overrides["experiment"] = args.experiment
     cfg = harness.load_config(None, overrides)
     refs = harness.reference_values(cfg)
-    print(f"{cfg.experiment}: reference = {refs['reference']:.6f} ({refs['kind']})")
-    for key in ("european_se", "jensen_bound"):
+    print(f"{cfg.document['experiment']}: reference = {refs['reference']:.6f} "
+          f"({refs['kind']})")
+    for key in ("continuous_reference", "european_se", "jensen_bound"):
         if key in refs:
             print(f"{key} = {refs[key]:.6f}")
     return EXIT_OK

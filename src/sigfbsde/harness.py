@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle, sde, solver
 
-EXPERIMENTS = ("lookback", "quadratic", "amerasian")
 PROFILES = ("desk", "paper")
 
 
@@ -47,54 +47,124 @@ CONFIG_KEYS = {
     "reference_paths": (int, False),
 }
 
-# per-(experiment, profile) defaults; method-dependent entries hold a dict
-_BASE = {
-    "lookback": {
-        "method": "forward", "feature": "signature", "d": 1, "m": 3,
-        "n_coarse": 20, "x0": 10.0, "rate": 0.01, "sigma": 1.0,
-        "strike": 0.0, "horizon": 1.0, "lr": 1e-3, "embed_dim": None,
-    },
-    "quadratic": {
-        "method": "forward", "feature": "log-signature", "d": 20, "m": 2,
-        "n_coarse": 5, "n_fine": 100, "x0": 0.0, "rate": 0.0, "sigma": 0.0,
-        "strike": 0.0, "horizon": 1.0, "lr": 1e-3, "embed_dim": None,
-    },
-    "amerasian": {
-        "method": "reflected", "feature": "log-signature", "d": 1, "m": 2,
-        "n_coarse": 20, "x0": 100.0, "rate": 0.05, "sigma": 0.15,
-        "strike": 100.0, "horizon": 1.0, "lr": 1e-3, "embed_dim": None,
-    },
-}
-
-_PROFILE = {
-    ("lookback", "desk"): {"n_fine": 400, "iterations": {"forward": 3000, "backward": 700},
-                           "runs": {"forward": 1, "backward": 10}},
-    ("lookback", "paper"): {"n_fine": 2000, "iterations": {"forward": 5000, "backward": 1200},
-                            "runs": {"forward": 1, "backward": 50}},
-    ("quadratic", "desk"): {"iterations": {"forward": 2000, "backward": 500},
-                            "runs": {"forward": 1, "backward": 1}},
-    ("quadratic", "paper"): {"iterations": {"forward": 5000, "backward": 1500},
-                             "runs": {"forward": 1, "backward": 1}},
-    ("amerasian", "desk"): {"n_fine": 200, "iterations": {"reflected": 400},
-                            "runs": {"reflected": 10}},
-    ("amerasian", "paper"): {"n_fine": 1000, "iterations": {"reflected": 1000},
-                             "runs": {"reflected": 50}},
-}
-
-# batch size depends on the training scheme
-_BATCH_BY_METHOD = {"forward": 100, "backward": 1000, "reflected": 1000}
-
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """A fully resolved experiment plus harness-level run options."""
+    """A resolved config document and the experiment spec built from it."""
 
-    experiment: str
-    profile: str
+    document: dict
     spec: solver.ExperimentSpec
-    out: str | None = None
-    workers: int = 1
-    reference_paths: int = 200_000
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registry record: the defaults, builders and oracle of a benchmark.
+
+    ``defaults`` and each ``profiles`` entry are partial config documents
+    layered over :data:`_SHARED`; a dict value there is keyed by ``method``.
+    ``model`` and ``payoff`` build the spec's parts from a resolved
+    document, ``references`` returns the oracle values of a config, and
+    ``check`` raises :class:`ConfigError` where that oracle does not apply.
+    """
+
+    defaults: dict
+    profiles: dict
+    model: Callable[[dict], sde.ModelSpec]
+    payoff: Callable[[dict], solver.PayoffKind]
+    references: Callable[[HarnessConfig], dict]
+    check: Callable[[dict], None] = lambda doc: None
+
+
+# defaults every experiment shares; a dict value is keyed by method
+_SHARED = {
+    "horizon": 1.0, "lr": 1e-3, "embed_dim": None, "strike": 0.0, "seed": 0,
+    "runs": 1, "workers": 1, "reference_paths": 200_000, "out": None,
+    "y0_init": None, "batch": {"forward": 100, "backward": 1000, "reflected": 1000},
+}
+
+
+def _geometric_model(doc: dict) -> sde.ModelSpec:
+    return sde.ModelSpec.geometric(doc["x0"], doc["rate"], doc["sigma"], dim=doc["d"])
+
+
+def _lookback_params(doc: dict) -> oracle.LookbackParams:
+    """The lookback claim at time 0; raises ``OracleDomainError`` off its domain."""
+    return oracle.LookbackParams(doc["x0"], doc["x0"], doc["rate"], doc["sigma"],
+                                 doc["horizon"])
+
+
+def _lookback_check(doc: dict):
+    try:
+        _lookback_params(doc)
+    except oracle.OracleDomainError:
+        raise ConfigError(
+            f"the lookback closed form needs positive x0, rate and sigma, got "
+            f"x0={doc['x0']}, rate={doc['rate']}, sigma={doc['sigma']}") from None
+
+
+def _lookback_references(cfg: HarnessConfig) -> dict:
+    return {"reference": oracle.lookback_price(_lookback_params(cfg.document)),
+            "kind": "analytic lookback value"}
+
+
+def _quadratic_references(cfg: HarnessConfig) -> dict:
+    doc = cfg.document
+    return {"reference": oracle.quadratic_grid_value(doc["d"], doc["x0"], doc["n_fine"],
+                                                     doc["horizon"]),
+            "kind": "exact mean of the simulated payoff",
+            "continuous_reference": oracle.quadratic_pde_solution(
+                0.0, np.full((1, doc["d"]), doc["x0"]), doc["horizon"])}
+
+
+def _amerasian_check(doc: dict):
+    if doc["reference_paths"] < oracle.MIN_MC_PATHS:
+        raise ConfigError(f"reference_paths={doc['reference_paths']} must be "
+                          f"at least {oracle.MIN_MC_PATHS}")
+
+
+def _amerasian_references(cfg: HarnessConfig) -> dict:
+    spec = cfg.spec
+    est, se = oracle.asian_european_mc(
+        spec.model, spec.grid, spec.payoff.strike,
+        np.full(spec.model.dim, 1.0 / spec.model.dim),
+        cfg.document["reference_paths"], solver.derive_seed(spec.seed, 7))
+    bound = oracle.jensen_lower_bound(spec.model, spec.payoff.strike,
+                                      spec.grid.horizon)
+    return {"reference": est, "kind": "European Monte Carlo",
+            "european_se": se, "jensen_bound": bound}
+
+
+REGISTRY = {
+    "lookback": Experiment(
+        defaults={"method": "forward", "feature": "signature", "d": 1, "m": 3,
+                  "n_coarse": 20, "x0": 10.0, "rate": 0.01, "sigma": 1.0},
+        profiles={
+            "desk": {"n_fine": 400, "iterations": {"forward": 3000, "backward": 700},
+                     "runs": {"forward": 1, "backward": 10}},
+            "paper": {"n_fine": 2000, "iterations": {"forward": 5000, "backward": 1200},
+                      "runs": {"forward": 1, "backward": 50}}},
+        model=_geometric_model,
+        payoff=lambda doc: solver.PayoffKind("lookback"),
+        references=_lookback_references, check=_lookback_check),
+    "quadratic": Experiment(
+        defaults={"method": "forward", "feature": "log-signature", "d": 20, "m": 2,
+                  "n_coarse": 5, "n_fine": 100, "x0": 0.0, "rate": 0.0, "sigma": 0.0},
+        profiles={"desk": {"iterations": {"forward": 2000, "backward": 500}},
+                  "paper": {"iterations": {"forward": 5000, "backward": 1500}}},
+        model=lambda doc: sde.ModelSpec.arithmetic_unit(doc["x0"], dim=doc["d"]),
+        payoff=lambda doc: solver.PayoffKind("quadratic-integral"),
+        references=_quadratic_references),
+    "amerasian": Experiment(
+        defaults={"method": "reflected", "feature": "log-signature", "d": 1, "m": 2,
+                  "n_coarse": 20, "x0": 100.0, "rate": 0.05, "sigma": 0.15,
+                  "strike": 100.0},
+        profiles={"desk": {"n_fine": 200, "iterations": 400, "runs": 10},
+                  "paper": {"n_fine": 1000, "iterations": 1000, "runs": 50}},
+        model=_geometric_model,
+        payoff=lambda doc: solver.PayoffKind("asian-basket-call", strike=doc["strike"]),
+        references=_amerasian_references, check=_amerasian_check),
+}
+EXPERIMENTS = tuple(REGISTRY)
 
 
 def _coerce(key: str, value):
@@ -118,55 +188,27 @@ def _coerce(key: str, value):
 
 def experiment_defaults(experiment: str, profile: str, method: str | None = None) -> dict:
     """Documented default configuration for one experiment and profile."""
-    if experiment not in EXPERIMENTS:
+    if experiment not in REGISTRY:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    doc = dict(_BASE[experiment])
-    doc.update({k: v for k, v in _PROFILE[(experiment, profile)].items()
-                if not isinstance(v, dict)})
-    method = method or doc["method"]
-    per_method = {k: v for k, v in _PROFILE[(experiment, profile)].items()
-                  if isinstance(v, dict)}
-    for key, table in per_method.items():
-        doc[key] = table.get(method, next(iter(table.values())))
-    doc["batch"] = _BATCH_BY_METHOD.get(method, 100)
-    doc.setdefault("seed", 0)
-    doc.setdefault("runs", 1)
-    doc.setdefault("workers", 1)
-    doc.setdefault("reference_paths", 200_000)
-    doc["experiment"] = experiment
-    doc["profile"] = profile
-    doc["method"] = method
+    record = REGISTRY[experiment]
+    doc = {**_SHARED, **record.defaults, **record.profiles[profile],
+           "experiment": experiment, "profile": profile}
+    doc["method"] = method = method or doc["method"]
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            doc[key] = value.get(method, next(iter(value.values())))
     return doc
-
-
-def _build_model(experiment: str, doc: dict) -> sde.ModelSpec:
-    if experiment == "quadratic":
-        return sde.ModelSpec.arithmetic_unit(doc["x0"], dim=doc["d"])
-    return sde.ModelSpec.geometric(doc["x0"], doc["rate"], doc["sigma"], dim=doc["d"])
-
-
-def _build_driver(experiment: str, doc: dict) -> solver.DriverKind:
-    if experiment == "quadratic":
-        return solver.DriverKind("zero")
-    return solver.DriverKind("discount", doc["rate"])
-
-
-def _build_payoff(experiment: str, doc: dict) -> solver.PayoffKind:
-    if experiment == "lookback":
-        return solver.PayoffKind("lookback")
-    if experiment == "quadratic":
-        return solver.PayoffKind("quadratic-integral")
-    return solver.PayoffKind("asian-basket-call", strike=doc["strike"])
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> HarnessConfig:
     """Resolve defaults, an optional JSON document, and explicit overrides.
 
-    Later sources win.  Unknown keys, impossible grids, and inconsistent
-    sizes are rejected with every offending key named.
+    Later sources win.  Unknown keys, impossible grids, inconsistent sizes
+    and configs outside the experiment's oracle are rejected with every
+    offending key named.
     """
     doc: dict = {}
     if path is not None:
@@ -183,41 +225,36 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     doc = {k: _coerce(k, v) for k, v in doc.items()}
 
-    experiment = doc.get("experiment", "lookback")
-    profile = doc.get("profile", "paper")
-    resolved = experiment_defaults(experiment, profile, doc.get("method"))
+    resolved = experiment_defaults(doc.get("experiment", "lookback"),
+                                   doc.get("profile", "paper"), doc.get("method"))
     resolved.update(doc)
 
     # high-dimensional runs get the dimension-reducing embedding by default
-    if resolved.get("embed_dim") is None and resolved["d"] > 20:
+    if resolved["embed_dim"] is None and resolved["d"] > 20:
         resolved["embed_dim"] = 5
 
     problems = []
-    if resolved["d"] < 1:
-        problems.append(f"d={resolved['d']} must be positive")
-    if resolved["batch"] < 1:
-        problems.append(f"batch={resolved['batch']} must be positive")
+    for key in ("d", "batch", "runs", "workers"):
+        if resolved[key] < 1:
+            problems.append(f"{key}={resolved[key]} must be positive")
     if resolved["iterations"] < 0:
         problems.append(f"iterations={resolved['iterations']} must be nonnegative")
-    if resolved["runs"] < 1:
-        problems.append(f"runs={resolved['runs']} must be positive")
     if resolved["n_fine"] % resolved["n_coarse"] != 0:
         problems.append(
             f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")
-    if experiment == "amerasian" and resolved["reference_paths"] < oracle.MIN_MC_PATHS:
-        problems.append(f"reference_paths={resolved['reference_paths']} must be "
-                        f"at least {oracle.MIN_MC_PATHS}")
     if problems:
         raise ConfigError("; ".join(problems))
 
+    record = REGISTRY[resolved["experiment"]]
     try:
+        model = record.model(resolved)
         spec = solver.ExperimentSpec(
             method=resolved["method"],
-            model=_build_model(experiment, resolved),
+            model=model,
             grid=sde.GridSpec(resolved["horizon"], resolved["n_fine"],
                               resolved["n_coarse"]),
-            driver=_build_driver(experiment, resolved),
-            payoff=_build_payoff(experiment, resolved),
+            driver=solver.DriverKind(model.rate),
+            payoff=record.payoff(resolved),
             depth=resolved["m"],
             feature=resolved["feature"],
             embed_dim=resolved["embed_dim"],
@@ -226,73 +263,22 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             learning_rate=resolved["lr"],
             runs=resolved["runs"],
             seed=resolved["seed"],
-            y0_init=resolved.get("y0_init"),
+            y0_init=resolved["y0_init"],
         )
-        if experiment == "lookback":
-            _lookback_params(spec)  # the closed-form reference must apply
-    except (solver.SpecError, sde.GridError, sde.ModelError,
-            oracle.OracleDomainError) as exc:
+    except (solver.SpecError, sde.GridError, sde.ModelError) as exc:
         raise ConfigError(str(exc)) from exc
-    return HarnessConfig(experiment=experiment, profile=profile, spec=spec,
-                         out=resolved.get("out"), workers=resolved["workers"],
-                         reference_paths=resolved["reference_paths"])
+    record.check(resolved)
+    return HarnessConfig(resolved, spec)
 
 
 def config_document(cfg: HarnessConfig) -> dict:
     """Flat key-value document that :func:`load_config` maps back to ``cfg``."""
-    spec = cfg.spec
-    return {
-        "experiment": cfg.experiment,
-        "profile": cfg.profile,
-        "method": spec.method,
-        "feature": spec.feature,
-        "d": spec.model.dim,
-        "m": spec.depth,
-        "embed_dim": spec.embed_dim,
-        "n_fine": spec.grid.n_fine,
-        "n_coarse": spec.grid.n_coarse,
-        "batch": spec.batch_size,
-        "iterations": spec.iterations,
-        "lr": spec.learning_rate,
-        "runs": spec.runs,
-        "seed": spec.seed,
-        "out": cfg.out,
-        "x0": spec.model.x0[0],
-        "rate": spec.model.rate if spec.model.kind == "geometric" else 0.0,
-        "sigma": spec.model.sigma[0] if spec.model.sigma else 0.0,
-        "strike": spec.payoff.strike,
-        "horizon": spec.grid.horizon,
-        "y0_init": spec.y0_init,
-        "workers": cfg.workers,
-        "reference_paths": cfg.reference_paths,
-    }
-
-
-def _lookback_params(spec: solver.ExperimentSpec) -> oracle.LookbackParams:
-    """The lookback claim at time 0; raises ``OracleDomainError`` off its domain."""
-    x0 = spec.model.x0[0]
-    return oracle.LookbackParams(x0, x0, spec.model.rate, spec.model.sigma[0],
-                                 spec.grid.horizon)
+    return dict(cfg.document)
 
 
 def reference_values(cfg: HarnessConfig) -> dict:
     """Oracle references for one experiment configuration."""
-    spec = cfg.spec
-    if cfg.experiment == "lookback":
-        price = oracle.lookback_price(_lookback_params(spec))
-        return {"reference": price, "kind": "analytic lookback value"}
-    if cfg.experiment == "quadratic":
-        value = oracle.quadratic_pde_solution(
-            0.0, np.asarray(spec.model.x0)[None, :], spec.grid.horizon)
-        return {"reference": value, "kind": "exact solution at time 0"}
-    est, se = oracle.asian_european_mc(
-        spec.model, spec.grid, spec.payoff.strike,
-        np.full(spec.model.dim, 1.0 / spec.model.dim),
-        cfg.reference_paths, solver.derive_seed(spec.seed, 7))
-    bound = oracle.jensen_lower_bound(spec.model, spec.payoff.strike,
-                                      spec.grid.horizon)
-    return {"reference": est, "kind": "European Monte Carlo",
-            "european_se": se, "jensen_bound": bound}
+    return REGISTRY[cfg.document["experiment"]].references(cfg)
 
 
 @dataclass
@@ -311,11 +297,12 @@ def _run_one(args) -> solver.RunReport:
 
 def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     """Execute all runs, aggregate, attach the oracle reference, emit files."""
-    spec = cfg.spec
+    doc, spec = cfg.document, cfg.spec
     run_seeds = [solver.derive_seed(spec.seed, 6, r) for r in range(spec.runs)]
     jobs = [(spec, s) for s in run_seeds]
-    if cfg.workers > 1 and spec.runs > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, spec.runs)) as pool:
+    workers = min(doc["workers"], spec.runs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_one, jobs))
     else:
         reports = [_run_one(job) for job in jobs]
@@ -328,8 +315,8 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     agg = solver.aggregate_runs(reports)
     refs = reference_values(cfg)
     summary = {
-        "experiment": cfg.experiment,
-        "profile": cfg.profile,
+        "experiment": doc["experiment"],
+        "profile": doc["profile"],
         "method": spec.method,
         "runs": spec.runs,
         "mean": agg.mean,
@@ -341,8 +328,8 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
         summary["rel_error"] = (agg.mean - refs["reference"]) / refs["reference"]
     table.summary = summary
 
-    if cfg.out:
-        emit_outputs(table, reports, cfg.out)
+    if doc["out"]:
+        emit_outputs(table, reports, doc["out"])
     return table
 
 

@@ -84,6 +84,19 @@ def quadratic_pde_solution(t: float, prefix_values: np.ndarray,
             + d / 3.0 * tail ** 3)
 
 
+def quadratic_grid_value(d: int, x0: float, n_fine: int, horizon: float) -> float:
+    """Exact mean of the simulated squared-integral payoff at time 0.
+
+    The left-endpoint integral of a basket of ``d`` unit Brownian motions
+    from ``x0`` over ``n`` steps of size ``h`` has second moment
+    ``d h^3 sum_{i,j<n} min(i, j) + (d x0 T)^2``, the double sum being
+    ``(n-1) n (2n-1) / 6``; :func:`quadratic_pde_solution` is its limit.
+    """
+    h = horizon / n_fine
+    n = n_fine
+    return d * h ** 3 * (n - 1) * n * (2 * n - 1) / 6.0 + (d * x0 * horizon) ** 2
+
+
 def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
                       weights, n_paths: int, seed: int,
                       chunk: int = 20000) -> tuple[float, float]:

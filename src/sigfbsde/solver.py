@@ -27,6 +27,8 @@ from .sigcore.tensor import sig_dim
 
 METHODS = ("forward", "backward", "reflected")
 FEATURE_KINDS = ("signature", "log-signature")
+PILOT_PATHS = 4096     # Monte Carlo paths behind the forward scheme's start value
+TAIL_FRACTION = 0.25   # trailing share of iterations averaged into the final estimate
 
 
 class SolverAbort(RuntimeError):
@@ -37,6 +39,9 @@ class SolverAbort(RuntimeError):
         self.method = method
         self.iteration = iteration
         self.seed = seed
+
+    def __reduce__(self):  # rebuilt in the parent process after a worker aborts
+        return type(self), (str(self), self.method, self.iteration, self.seed)
 
 
 class SpecError(ValueError):
@@ -51,25 +56,20 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 @dataclass(frozen=True)
 class DriverKind:
-    """Backward-equation driver: ``f = 0`` or the discounting ``f = -rate * y``."""
+    """Backward-equation driver: the discounting ``f = -rate * y`` (zero at rate 0)."""
 
-    kind: str = "zero"
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "discount"):
-            raise SpecError(f"unknown driver kind {self.kind!r}")
         if self.rate < 0:
             raise SpecError(f"driver rate must be nonnegative, got {self.rate}")
 
     def f(self, y):
-        if self.kind == "discount":
-            return -self.rate * y
-        return np.zeros_like(y)
+        return -self.rate * y
 
     def dy(self) -> float:
-        """``∂f/∂y`` (constant for both supported drivers)."""
-        return -self.rate if self.kind == "discount" else 0.0
+        """``∂f/∂y``, a constant."""
+        return -self.rate
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class PayoffKind:
 
     kind: str
     strike: float = 0.0
-    weights: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("lookback", "quadratic-integral", "asian-basket-call"):
@@ -89,15 +88,6 @@ class PayoffKind:
     @property
     def supports_exercise(self) -> bool:
         return self.kind == "asian-basket-call"
-
-    def _weights(self, dim: int) -> np.ndarray:
-        if self.weights:
-            if len(self.weights) != dim:
-                raise SpecError(
-                    f"{len(self.weights)} payoff weights for {dim} assets")
-            return np.asarray(self.weights, dtype=float)
-        return np.full(dim, 1.0 / dim) if self.kind == "asian-basket-call" \
-            else np.ones(dim)
 
     def values(self, batch: sde.PathBatch) -> tuple:
         """Terminal payoff ``(B,)`` and early-exercise payoff ``(B, N+1)``.
@@ -112,7 +102,7 @@ class PayoffKind:
             if d != 1:
                 raise SpecError("lookback payoff is defined for a single asset")
             return batch.states[:, -1, 0] - batch.states[:, :, 0].min(axis=1), None
-        w = self._weights(d)
+        w = np.full(d, 1.0 / d) if self.kind == "asian-basket-call" else np.ones(d)
         integral = sde.running_integral(batch, w)
         if self.kind == "quadratic-integral":
             return integral[:, -1] ** 2, None
@@ -143,11 +133,7 @@ class ExperimentSpec:
     learning_rate: float = 1e-3
     runs: int = 1
     seed: int = 0
-    hidden: tuple = (64, 64)
-    loss_margin: float = 0.0
     y0_init: float | None = None
-    tail_fraction: float = 0.25
-    pilot_paths: int = 4096
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -217,7 +203,7 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
     seed = derive_seed(spec.seed, 2)
     total, count = 0.0, 0
     chunk = 2048
-    remaining = spec.pilot_paths
+    remaining = PILOT_PATHS
     offset = 0
     while remaining > 0:
         b = min(chunk, remaining)
@@ -233,7 +219,7 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
 def init_state(spec: ExperimentSpec) -> TrainState:
     nets, adams = [], []
     # each approximator maps features to a row vector against the Brownian motion
-    mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim, hidden=spec.hidden)
+    mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim)
     # the |x0| conditioning sits in the embedding when there is one, else in the nets
     input_scale = feature_input_scale(spec) if spec.embed_dim is None else None
     for n in range(spec.grid.n_coarse):
@@ -479,7 +465,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
 def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
     """Run one full training and collect the loss/estimate trajectory.
 
-    The reported final estimate averages the trailing ``tail_fraction`` of
+    The reported final estimate averages the trailing ``TAIL_FRACTION`` of
     per-iteration estimates, which damps the per-batch fluctuation of the
     variance-minimising methods without biasing the forward one.
     """
@@ -493,10 +479,8 @@ def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
         report.losses.append(loss)
         report.estimates.append(estimate)
         report.elapsed.append(time.perf_counter() - start)
-        if spec.loss_margin > 0.0 and loss <= spec.loss_margin:
-            break
     if report.estimates:
-        tail = max(1, int(round(spec.tail_fraction * len(report.estimates))))
+        tail = max(1, int(round(TAIL_FRACTION * len(report.estimates))))
         report.final_estimate = float(np.mean(report.estimates[-tail:]))
     elif spec.method == "forward":
         report.final_estimate = float(state.y0)

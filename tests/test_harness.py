@@ -92,7 +92,9 @@ class TestRunExperiment:
         cfg = harness.load_config(overrides=tiny_quadratic_overrides(out=out))
         table = harness.run_experiment(cfg)
         assert len(table.rows) == 2
-        assert abs(table.summary["reference"] - 2.0 / 3.0) < 1e-12
+        # the payoff's exact mean on the 20-step grid, and its continuous limit
+        assert abs(table.summary["reference"] - 0.6175) < 1e-12
+        assert abs(table.summary["continuous_reference"] - 2.0 / 3.0) < 1e-12
         # summary mean recomputable from the rows
         assert abs(table.summary["mean"]
                    - np.mean([row[1] for row in table.rows])) < 1e-12
@@ -102,6 +104,7 @@ class TestRunExperiment:
         report = json.loads((tmp_path / "results" / "report.json").read_text())
         assert report["runs"] == 2
         assert "rel_error" in report
+        assert report["continuous_reference"] == table.summary["continuous_reference"]
 
     def test_zero_isquared_iterations_still_emit(self, tmp_path):
         out = str(tmp_path / "zero")
@@ -164,7 +167,9 @@ class TestCli:
     def test_oracle_negative_spot_exits_two(self, capsys):
         code = cli.main(["oracle", "--experiment", "lookback", "--set", "x0=-1"])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "x0=-1.0" in err
 
     def test_oracle_too_few_reference_paths_exits_two(self, capsys):
         code = cli.main(["oracle", "--experiment", "amerasian",
@@ -180,10 +185,30 @@ class TestCli:
                          "--set", "iterations=3", "--set", "y0_init=1e200"])
         assert code == 3
 
+    def test_numerical_abort_in_worker_processes_exits_three(self, capsys):
+        code = cli.main(["run", "--experiment", "quadratic",
+                         "--profile", "desk",
+                         "--set", "d=2", "--set", "n_fine=20",
+                         "--set", "n_coarse=5", "--set", "batch=8",
+                         "--set", "iterations=3", "--set", "y0_init=1e200",
+                         "--set", "runs=2", "--set", "workers=2"])
+        assert code == 3
+        assert "non-finite loss" in capsys.readouterr().err
+
+    def test_zero_workers_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "quadratic", "--profile", "desk",
+                         "--out", str(out), "--set", "workers=0"])
+        assert code == 2
+        assert "workers=0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_command(self, capsys):
         code = cli.main(["oracle", "--experiment", "quadratic"])
         assert code == 0
-        assert "6.666" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "6.666" in out
+        assert "continuous_reference" in out
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

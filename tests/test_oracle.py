@@ -66,6 +66,28 @@ class TestQuadraticSolution:
         with pytest.raises(oracle.OracleDomainError):
             oracle.quadratic_pde_solution(2.0, np.zeros((3, 1)), 1.0)
 
+    def test_grid_value_matches_direct_sum(self):
+        for n in range(1, 9):
+            for d, x0 in ((1, 0.0), (3, 0.7)):
+                h = 1.5 / n
+                pairs = sum(min(i, j) for i in range(n) for j in range(n))
+                direct = d * h ** 3 * pairs + (d * x0 * 1.5) ** 2
+                value = oracle.quadratic_grid_value(d, x0, n, 1.5)
+                assert abs(value - direct) < 1e-12 * max(1.0, direct)
+
+    def test_grid_value_is_mean_of_simulated_payoff(self):
+        model = sde.ModelSpec.arithmetic_unit(0.5, dim=2)
+        grid = sde.GridSpec(1.0, 8, 2)
+        batch = sde.simulate_batch(model, grid, 20000, seed=3)
+        payoff = sde.running_integral(batch, np.ones(2))[:, -1] ** 2
+        se = payoff.std(ddof=1) / math.sqrt(payoff.size)
+        assert abs(payoff.mean() - oracle.quadratic_grid_value(2, 0.5, 8, 1.0)) < 4.0 * se
+
+    def test_grid_value_tends_to_continuous_solution(self):
+        continuous = oracle.quadratic_pde_solution(0.0, np.full((1, 4), 0.3), 2.0)
+        fine = oracle.quadratic_grid_value(4, 0.3, 100_000, 2.0)
+        assert abs(fine - continuous) < 1e-4 * continuous
+
 
 class TestAsianEuropeanMc:
     def test_zero_volatility_matches_deterministic_quadrature(self):

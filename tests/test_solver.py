@@ -14,7 +14,7 @@ def constant_payoff_spec(method="forward", rate=0.1, n_coarse=1, n_fine=4,
         method=method,
         model=sde.ModelSpec.geometric(x0, 0.0, 0.0),
         grid=sde.GridSpec(1.0, n_fine, n_coarse),
-        driver=solver.DriverKind("discount", rate),
+        driver=solver.DriverKind(rate),
         payoff=solver.PayoffKind("quadratic-integral"),
         depth=2, feature="signature", batch_size=8, iterations=1, seed=0)
     defaults.update(kw)
@@ -26,7 +26,7 @@ def lookback_spec(**kw):
         method="forward",
         model=sde.ModelSpec.geometric(10.0, 0.01, 1.0),
         grid=sde.GridSpec(1.0, 100, 10),
-        driver=solver.DriverKind("discount", 0.01),
+        driver=solver.DriverKind(0.01),
         payoff=solver.PayoffKind("lookback"),
         depth=3, feature="signature", batch_size=64, iterations=50, seed=0)
     defaults.update(kw)
@@ -38,7 +38,7 @@ def amerasian_spec(**kw):
         method="reflected",
         model=sde.ModelSpec.geometric(100.0, 0.05, 0.15),
         grid=sde.GridSpec(1.0, 100, 10),
-        driver=solver.DriverKind("discount", 0.05),
+        driver=solver.DriverKind(0.05),
         payoff=solver.PayoffKind("asian-basket-call", strike=100.0),
         depth=2, feature="signature", batch_size=64, iterations=5, seed=0)
     defaults.update(kw)
@@ -62,7 +62,7 @@ class TestSpecValidation:
                 method="forward",
                 model=sde.ModelSpec.arithmetic_unit(0.0, dim=3),
                 grid=sde.GridSpec(1.0, 10, 5),
-                driver=solver.DriverKind("zero"),
+                driver=solver.DriverKind(),
                 payoff=solver.PayoffKind("quadratic-integral"),
                 depth=2, embed_dim=3)
 
@@ -141,7 +141,7 @@ class TestFeatures:
             model=sde.ModelSpec.geometric((90.0, 100.0, 120.0), 0.05,
                                           (0.1, 0.2, 0.15)),
             grid=sde.GridSpec(1.0, 12, 3),
-            driver=solver.DriverKind("discount", 0.05),
+            driver=solver.DriverKind(0.05),
             payoff=solver.PayoffKind("asian-basket-call", strike=100.0),
             depth=2, feature=feature, embed_dim=2, batch_size=3, seed=1)
         state = solver.init_state(spec)
@@ -197,7 +197,7 @@ class TestForwardIteration:
             method="forward",
             model=sde.ModelSpec.arithmetic_unit(0.0),
             grid=sde.GridSpec(1.0, 60, 6),
-            driver=solver.DriverKind("zero"),
+            driver=solver.DriverKind(),
             payoff=solver.PayoffKind("quadratic-integral"),
             depth=2, batch_size=512, iterations=1, seed=2, y0_init=0.4)
         state = solver.init_state(spec)
@@ -228,7 +228,7 @@ class TestBackwardIteration:
         grid = sde.GridSpec(1.0, 40, 8)
         spec = solver.ExperimentSpec(
             method="backward", model=model, grid=grid,
-            driver=solver.DriverKind("zero"),
+            driver=solver.DriverKind(),
             payoff=solver.PayoffKind("quadratic-integral"),
             depth=2, batch_size=32, iterations=1, seed=4)
         state = solver.init_state(spec)
@@ -287,13 +287,6 @@ class TestTrain:
         report = solver.train(spec)
         assert report.iterations == 0
         assert np.isfinite(report.final_estimate)
-
-    def test_degenerate_backward_stops_at_first_iteration(self):
-        spec = constant_payoff_spec(method="backward", iterations=50,
-                                    loss_margin=1e-30)
-        report = solver.train(spec)
-        assert report.iterations == 1
-        assert report.losses[0] == 0.0
 
     def test_non_finite_loss_aborts_with_metadata(self):
         spec = lookback_spec(y0_init=1e200, iterations=3)
