@@ -93,7 +93,21 @@ def _lookback_params(doc: dict) -> oracle.LookbackParams:
                                  doc["horizon"])
 
 
+def _reject_ignored(doc: dict, *keys: str):
+    """Reject a value off the record's default for keys its model and payoff ignore.
+
+    Such a value would be echoed in the config document without changing
+    the run.
+    """
+    defaults = experiment_defaults(doc["experiment"], doc["profile"], doc["method"])
+    changed = [f"{key}={doc[key]}" for key in keys if doc[key] != defaults[key]]
+    if changed:
+        raise ConfigError(f"the {doc['experiment']} experiment ignores "
+                          f"{', '.join(changed)}; leave them at their defaults")
+
+
 def _lookback_check(doc: dict):
+    _reject_ignored(doc, "strike")
     try:
         _lookback_params(doc)
     except oracle.OracleDomainError:
@@ -153,7 +167,8 @@ REGISTRY = {
                   "paper": {"iterations": {"forward": 5000, "backward": 1500}}},
         model=lambda doc: sde.ModelSpec.arithmetic_unit(doc["x0"], dim=doc["d"]),
         payoff=lambda doc: solver.PayoffKind("quadratic-integral"),
-        references=_quadratic_references),
+        references=_quadratic_references,
+        check=lambda doc: _reject_ignored(doc, "rate", "sigma", "strike")),
     "amerasian": Experiment(
         defaults={"method": "reflected", "feature": "log-signature", "d": 1, "m": 2,
                   "n_coarse": 20, "x0": 100.0, "rate": 0.05, "sigma": 0.15,
@@ -234,12 +249,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
         resolved["embed_dim"] = 5
 
     problems = []
-    for key in ("d", "batch", "runs", "workers"):
+    for key in ("d", "n_fine", "n_coarse", "batch", "runs", "workers"):
         if resolved[key] < 1:
             problems.append(f"{key}={resolved[key]} must be positive")
     if resolved["iterations"] < 0:
         problems.append(f"iterations={resolved['iterations']} must be nonnegative")
-    if resolved["n_fine"] % resolved["n_coarse"] != 0:
+    if not problems and resolved["n_fine"] % resolved["n_coarse"] != 0:
         problems.append(
             f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")
     if problems:

@@ -130,30 +130,43 @@ def block_signatures(increments: np.ndarray, depth: int) -> Levels:
 
     ``increments`` has shape ``(..., M, d)``; the result is the signature of
     the whole ``M``-step block.  Depths up to 3 are closed-form sums over
-    the step axis (batched matrix contractions); deeper truncations fall
-    back to the sequential scan.
+    the step axis, each a batched matmul that contracts the ``M`` steps;
+    deeper truncations fall back to the sequential scan.  With ``x_s`` the
+    increment of step ``s``:
+
+    * level 2 is ``matmul(midᵀ, x)``, where ``mid_s`` is the level-1 prefix
+      up to the middle of step ``s`` (the cumulative sum less ``x_s/2``);
+    * level 3 is ``matmul(aᵀ, x)`` over the flattened level-2 rows
+      ``a_s = S2_s - step2_s/2 - x_s⊗x_s/12``, where ``step2_s = mid_s⊗x_s``
+      is the level-2 gain of step ``s`` and ``S2_s`` its cumulative sum
+      (whose last row is level 2).  Expanding ``a_s⊗x_s`` gives the exact
+      level-3 gain ``S2_{s-1}⊗x_s + S1_{s-1}⊗x_s⊗x_s/2 + x_s^{⊗3}/6``.
     """
     if depth > 3:
         return signature_scan(increments, depth)
-    *batch, _, d = increments.shape
-    batch = tuple(batch)
     cum = np.cumsum(increments, axis=-2)
     lvl1 = cum[..., -1, :].copy()
     if depth == 1:
         return [lvl1]
-    before = cum - increments  # level-1 prefix ahead of each step
-    lvl2 = np.einsum("...si,...sj->...ij", before, increments) \
-        + 0.5 * np.einsum("...si,...sj->...ij", increments, increments)
+    mid = cum
+    mid -= 0.5 * increments
     if depth == 2:
-        return [lvl1, lvl2.reshape(batch + (d * d,))]
-    half_sq = 0.5 * np.einsum("...si,...sj->...sij", increments, increments)
-    step2 = np.einsum("...si,...sj->...sij", before, increments) + half_sq
-    before2 = np.cumsum(step2, axis=-3) - step2  # level-2 prefix per step
-    lvl3 = (np.einsum("...sij,...sk->...ijk", before2, increments)
-            + np.einsum("...si,...sjk->...ijk", before, half_sq)
-            + np.einsum("...si,...sj,...sk->...ijk",
-                        increments, increments, increments) / 6.0)
-    return [lvl1, lvl2.reshape(batch + (d * d,)), lvl3.reshape(batch + (d ** 3,))]
+        return [lvl1, _contract_steps(mid, increments)]
+    step2 = _outer(mid, increments)
+    a = np.cumsum(step2, axis=-2)
+    lvl2 = a[..., -1, :].copy()
+    step2 *= 0.5
+    a -= step2
+    sq = _outer(increments, increments)
+    sq /= 12.0
+    a -= sq
+    return [lvl1, lvl2, _contract_steps(a, increments)]
+
+
+def _contract_steps(a: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """``sum_s a_s ⊗ x_s`` over the step axis ``-2``, flattened."""
+    out = np.matmul(np.swapaxes(a, -1, -2), increments)
+    return out.reshape(out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
 def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -> Levels:

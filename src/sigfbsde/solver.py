@@ -16,6 +16,7 @@ value and, for ``reflected`` only, an exercise floor.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, replace
 
@@ -167,15 +168,57 @@ class ExperimentSpec:
 
 @dataclass
 class TrainState:
-    """Per-date approximators plus optional trainable scalar and embedding."""
+    """Per-date approximators plus optional trainable scalar and embedding.
+
+    Every trainable array is a view of the one flat buffer ``params``, in
+    :func:`trainables` order, and ``adam`` is the one Adam state over it.
+    ``grad`` has the same structure over a buffer of its own, into which
+    each training step writes its gradients.
+    """
 
     nets: list
-    net_adams: list
     y0: np.ndarray | None = None
-    y0_adam: net.AdamState | None = None
     embedding: net.EmbeddingParams | None = None
-    embed_adam: net.AdamState | None = None
+    params: np.ndarray | None = None
+    grad: TrainState | None = None
+    adam: net.AdamState | None = None
     iteration: int = 0
+
+
+def trainables(state: TrainState) -> list:
+    """Every trainable array in buffer order: each net's parameters, then
+    the initial value and the embedding's parameters when present."""
+    out = [p for params in state.nets for p in params.parameters()]
+    if state.y0 is not None:
+        out.append(state.y0)
+    if state.embedding is not None:
+        out.extend(state.embedding.parameters())
+    return out
+
+
+def _pack(state: TrainState) -> TrainState:
+    """Copy every trainable array into one flat buffer, ``state.params``,
+    and rebind each as a view of it."""
+    arrays = trainables(state)
+    state.params = np.concatenate([np.ravel(a) for a in arrays])
+    views, offset = [], 0
+    for a in arrays:
+        views.append(state.params[offset:offset + a.size].reshape(a.shape))
+        offset += a.size
+    views = iter(views)  # rebound in trainables() order
+    for params in state.nets:
+        for l in range(len(params.weights)):
+            params.weights[l], params.biases[l] = next(views), next(views)
+    if state.y0 is not None:
+        state.y0 = next(views)
+    if state.embedding is not None:
+        state.embedding.weight, state.embedding.bias = next(views), next(views)
+    return state
+
+
+def _assign(views: list, values: list):
+    for view, value in zip(views, values):
+        view[...] = value
 
 
 @dataclass
@@ -217,27 +260,25 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
 
 
 def init_state(spec: ExperimentSpec) -> TrainState:
-    nets, adams = [], []
+    """Fresh approximators, initial value and embedding, packed into one buffer."""
     # each approximator maps features to a row vector against the Brownian motion
     mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim)
     # the |x0| conditioning sits in the embedding when there is one, else in the nets
     input_scale = feature_input_scale(spec) if spec.embed_dim is None else None
-    for n in range(spec.grid.n_coarse):
-        params = net.init_mlp(mlp_spec, derive_seed(spec.seed, 1, n),
-                              input_scale=input_scale)
-        nets.append(params)
-        adams.append(net.init_adam(params.parameters(), spec.learning_rate))
-    state = TrainState(nets=nets, net_adams=adams)
+    state = TrainState(nets=[net.init_mlp(mlp_spec, derive_seed(spec.seed, 1, n),
+                                          input_scale=input_scale)
+                             for n in range(spec.grid.n_coarse)])
     if spec.method == "forward":
         y0 = spec.y0_init if spec.y0_init is not None else pilot_estimate(spec)
         state.y0 = np.asarray(float(y0))
-        state.y0_adam = net.init_adam([state.y0], spec.learning_rate)
     if spec.embed_dim is not None:
         state.embedding = net.init_embedding(spec.model.dim, spec.embed_dim,
                                              derive_seed(spec.seed, 3),
                                              input_scale=1.0 / feature_scale(spec.model))
-        state.embed_adam = net.init_adam(state.embedding.parameters(),
-                                         spec.learning_rate)
+    _pack(state)
+    state.grad = _pack(copy.deepcopy(state))
+    state.grad.params[:] = 0.0
+    state.adam = net.init_adam([state.params], spec.learning_rate)
     return state
 
 
@@ -422,8 +463,9 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     initial value.  ``backward`` and ``reflected``: the loss is the batch
     variance of the rolled-back initial values, and the estimate is their
     mean.  With ``update``, the adjoint sweep walks the dates in reverse and
-    one Adam step is applied to every approximator, the embedding (when
-    present) and, for ``forward``, the initial value.  Returns
+    one Adam step is applied to the flat buffer of every trainable array:
+    the approximators, the embedding (when present) and, for ``forward``,
+    the initial value.  Returns
     ``(state, loss, estimate)``, the forward estimate taken after the update.
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
@@ -449,15 +491,16 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
                 adj = adj * masks[n]
             g_z = sign * adj[:, None] * coarse_incs[:, n, :]
             grads, g_x = net.mlp_backward(state.nets[n], caches[n], g_z)
-            net.adam_step(state.net_adams[n], state.nets[n].parameters(), grads)
+            _assign(state.grad.nets[n].parameters(), grads)
             if feature_cots is not None:
                 feature_cots[n] = g_x
             adj = adj * step_factor
         if sign > 0:
-            net.adam_step(state.y0_adam, [state.y0], [np.asarray(np.sum(adj))])
+            state.grad.y0[...] = np.sum(adj)
         if fcache is not None:
-            egrads = features_backward(state, spec, fcache, feature_cots)
-            net.adam_step(state.embed_adam, state.embedding.parameters(), egrads)
+            _assign(state.grad.embedding.parameters(),
+                    features_backward(state, spec, fcache, feature_cots))
+        net.adam_step(state.adam, [state.params], [state.grad.params])
         state.iteration += 1
     return state, loss, float(state.y0) if sign > 0 else estimate
 

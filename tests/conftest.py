@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a slow host cannot turn them red; the example count bounds
+# their share of the suite's time.
+settings.register_profile("sigfbsde", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("sigfbsde")
 
 
 @pytest.fixture

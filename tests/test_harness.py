@@ -164,6 +164,26 @@ class TestCli:
         assert "rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_coarse_dates_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "quadratic", "--profile", "desk",
+                         "--out", str(out), "--set", "n_coarse=0"])
+        assert code == 2
+        assert "n_coarse=0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, setting", [
+        ("quadratic", "rate=0.5"), ("quadratic", "sigma=3"),
+        ("quadratic", "strike=1"), ("lookback", "strike=1")])
+    def test_ignored_key_exits_two(self, tmp_path, capsys, experiment, setting):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", experiment, "--profile", "desk",
+                         "--out", str(out), "--set", setting,
+                         "--set", "iterations=2"])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_negative_spot_exits_two(self, capsys):
         code = cli.main(["oracle", "--experiment", "lookback", "--set", "x0=-1"])
         assert code == 2

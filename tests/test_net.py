@@ -155,6 +155,19 @@ class TestAdam:
         net.adam_step(state, params, [np.ones(1)])
         assert state.step == 2
 
+    def test_one_flat_buffer_steps_like_separate_arrays(self, rng):
+        shapes = [(3, 4), (4,), (), (2, 1)]
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        state = net.init_adam(arrays, lr=1e-2)
+        flat_state = net.init_adam([flat], lr=1e-2)
+        for _ in range(4):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            net.adam_step(state, arrays, grads)
+            net.adam_step(flat_state, [flat],
+                          [np.concatenate([g.ravel() for g in grads])])
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
 
 class TestEmbedding:
     def test_zero_weight_gives_constant_bias(self, rng):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sigfbsde.sigcore import (DomainError, ShapeMismatchError,
                               TruncatedTensorSeries, segment_signature,
@@ -196,3 +197,35 @@ class TestValidation:
     def test_flatten_length_matches_sig_dim(self, rng):
         s = random_group_series(rng, 3, 3)
         assert s.flatten().shape == (sig_dim(3, 3),)
+
+
+_shapes = st.tuples(
+    st.integers(1, 4),                                  # channels
+    st.integers(1, 3),                                  # depth
+    st.integers(1, 8),                                  # block length
+    st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),  # batch axes
+    st.integers(0, 2 ** 32 - 1))                        # increment seed
+
+
+class TestBlockKernels:
+    """The closed-form block kernels against the sequential Chen scan."""
+
+    @given(_shapes)
+    def test_block_signatures_match_scan(self, shape):
+        d, depth, m, batch, seed = shape
+        inc = np.random.default_rng(seed).standard_normal(batch + (m, d))
+        got = engine.block_signatures(inc, depth)
+        want = engine.signature_scan(inc, depth)
+        assert len(got) == depth
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13)
+
+    @given(_shapes, st.integers(1, 3))
+    def test_checkpoint_scan_matches_scan_on_every_prefix(self, shape, n_seg):
+        d, depth, m, batch, seed = shape
+        inc = np.random.default_rng(seed).standard_normal(batch + (n_seg * m, d))
+        got = engine.checkpoint_scan(inc, m, depth)
+        for seg in range(n_seg + 1):
+            want = engine.signature_scan(inc[..., :seg * m, :], depth)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g[..., seg, :], w, rtol=1e-12, atol=1e-13)

@@ -294,6 +294,25 @@ class TestTrain:
             solver.train(spec)
         assert err.value.method == "forward"
 
+    def test_every_trainable_array_is_a_view_of_one_buffer(self):
+        spec = solver.ExperimentSpec(
+            method="forward", model=sde.ModelSpec.arithmetic_unit(1.0, dim=3),
+            grid=sde.GridSpec(1.0, 8, 2), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2,
+            embed_dim=2, batch_size=8, iterations=1, seed=0, y0_init=0.5)
+        state = solver.init_state(spec)
+        assert sum(a.size for a in solver.trainables(state)) == state.params.size
+
+        def all_views():
+            owned = [p for params in state.nets for p in params.parameters()]
+            owned += [state.y0, state.embedding.weight, state.embedding.bias]
+            return all(np.shares_memory(a, state.params) for a in owned)
+
+        assert all_views()
+        solver.train_step(state, spec, 5)
+        assert all_views()
+        assert float(state.y0) != 0.5
+
     def test_training_is_reproducible(self):
         spec = lookback_spec(iterations=10, batch_size=16)
         a = solver.train(spec)
