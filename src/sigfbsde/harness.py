@@ -311,16 +311,26 @@ def _run_one(args) -> solver.RunReport:
 
 
 def run_experiment(cfg: HarnessConfig) -> ResultsTable:
-    """Execute all runs, aggregate, attach the oracle reference, emit files."""
+    """Execute all runs, aggregate, attach the oracle reference, emit files.
+
+    A run that aborts on a non-finite loss still writes its partial curve
+    to ``out`` before the :class:`solver.SolverAbort` propagates.
+    """
     doc, spec = cfg.document, cfg.spec
     run_seeds = [solver.derive_seed(spec.seed, 6, r) for r in range(spec.runs)]
     jobs = [(spec, s) for s in run_seeds]
     workers = min(doc["workers"], spec.runs, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs))
-    else:
-        reports = [_run_one(job) for job in jobs]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_run_one, jobs))
+        else:
+            reports = [_run_one(job) for job in jobs]
+    except solver.SolverAbort as exc:
+        if doc["out"] and exc.report is not None:
+            os.makedirs(doc["out"], exist_ok=True)
+            _write_curve(doc["out"], run_seeds.index(exc.report.seed), exc.report)
+        raise
 
     table = ResultsTable(reports=reports)
     for r, report in enumerate(reports):
@@ -355,15 +365,7 @@ def emit_outputs(table: ResultsTable, curves: list, directory: str) -> list:
     files.  Returns the list of paths written.
     """
     os.makedirs(directory, exist_ok=True)
-    written = []
-    for r, report in enumerate(curves):
-        path = os.path.join(directory, f"curve_run{r}.csv")
-        lines = ["iteration,loss,y0_estimate,elapsed_s"]
-        for it, (loss, est, el) in enumerate(
-                zip(report.losses, report.estimates, report.elapsed)):
-            lines.append(f"{it},{loss!r},{est!r},{el!r}")
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+    written = [_write_curve(directory, r, report) for r, report in enumerate(curves)]
 
     path = os.path.join(directory, "summary.csv")
     lines = ["run,final_estimate,iterations,elapsed_s"]
@@ -376,6 +378,17 @@ def emit_outputs(table: ResultsTable, curves: list, directory: str) -> list:
     _write_text(path, json.dumps(table.summary, indent=2, sort_keys=True) + "\n")
     written.append(path)
     return written
+
+
+def _write_curve(directory: str, run: int, report: solver.RunReport) -> str:
+    """Write one run's loss/estimate trajectory as ``curve_run<run>.csv``."""
+    path = os.path.join(directory, f"curve_run{run}.csv")
+    lines = ["iteration,loss,y0_estimate,elapsed_s"]
+    for it, (loss, est, el) in enumerate(
+            zip(report.losses, report.estimates, report.elapsed)):
+        lines.append(f"{it},{loss!r},{est!r},{el!r}")
+    _write_text(path, "\n".join(lines) + "\n")
+    return path
 
 
 def _write_text(path: str, content: str):

@@ -1,7 +1,9 @@
-"""Minimal differentiable blocks: per-step MLPs, Adam, pointwise embedding.
+"""Minimal differentiable blocks: stacked MLPs, Adam, pointwise embedding.
 
 Reverse mode is hand-rolled for the one fixed composite this library needs;
-each forward call returns the cache its backward companion consumes.
+each forward call returns the cache its backward companion consumes.  One
+MLP code path serves a single net and a stack of nets on a leading axis; its
+cache holds post-activations only, and its backward pass spends them.
 """
 
 from __future__ import annotations
@@ -35,21 +37,25 @@ class MlpSpec:
 class MlpParams:
     """Trainable layers plus an optional fixed per-input multiplier.
 
+    A stack of ``N`` nets (:func:`stack_mlps`) has weights ``(N, widths[l],
+    widths[l+1])`` and biases ``(N, 1, widths[l+1])``; net ``n`` is slice ``[n]``.
     ``input_scale`` (shape ``(in_dim,)``) rescales the input before the
     first affine layer; it is not trainable and not in :meth:`parameters`.
     """
 
     spec: MlpSpec
-    weights: list            # weights[l]: (widths[l], widths[l+1])
-    biases: list             # biases[l]: (widths[l+1],)
+    weights: list            # weights[l]: (widths[l], widths[l+1]), or stacked
+    biases: list             # biases[l]: (widths[l+1],), or stacked
     input_scale: np.ndarray | None = None
+
+    @property
+    def stack(self) -> tuple:
+        """``(N,)`` for a stack of ``N`` nets, ``()`` for a single net."""
+        return self.weights[0].shape[:-2]
 
     def parameters(self) -> list:
         """Flat parameter list, weights interleaved with biases."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
 def init_mlp(spec: MlpSpec, seed: int, zero_output: bool = True,
@@ -64,67 +70,70 @@ def init_mlp(spec: MlpSpec, seed: int, zero_output: bool = True,
     widths = spec.widths
     weights, biases = [], []
     for l in range(len(widths) - 1):
-        fan_in = widths[l]
         if zero_output and l == len(widths) - 2:
             weights.append(np.zeros((widths[l], widths[l + 1])))
         else:
-            bound = np.sqrt(6.0 / fan_in)
+            bound = np.sqrt(6.0 / widths[l])  # fan-in
             weights.append(rng.uniform(-bound, bound, size=(widths[l], widths[l + 1])))
         biases.append(np.zeros(widths[l + 1]))
     return MlpParams(spec, weights, biases, input_scale)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else z
-
-
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0.0).astype(float) if kind == "relu" else np.ones_like(z)
+def stack_mlps(nets: list) -> MlpParams:
+    """One stack of nets that share the spec and input scale of ``nets[0]``."""
+    return MlpParams(nets[0].spec,
+                     [np.stack(ws) for ws in zip(*(p.weights for p in nets))],
+                     [np.stack(bs)[:, None] for bs in zip(*(p.biases for p in nets))],
+                     nets[0].input_scale)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Affine/activation chain; returns ``(output, cache)``.
 
-    ``x`` may carry arbitrary leading batch axes over the input width; it is
-    multiplied by ``params.input_scale`` (when set) before the first layer.
+    A single net takes ``x`` with arbitrary leading batch axes over the
+    input width; a stack of ``N`` nets takes ``(N, B, in_dim)`` and applies
+    net ``n`` to ``x[n]``, after multiplying by ``params.input_scale`` (when
+    set).  The cache holds post-activations only; relu runs in place.
     """
-    spec = params.spec
-    if x.shape[-1] != spec.in_dim:
-        raise ValueError(f"input width {x.shape[-1]} != expected {spec.in_dim}")
+    spec, stack = params.spec, params.stack
+    if x.shape[-1] != spec.in_dim or stack and (x.ndim != 3 or x.shape[:1] != stack):
+        raise ValueError(f"input shape {x.shape} does not fit in_dim {spec.in_dim}, stack {stack}")
     h = x if params.input_scale is None else x * params.input_scale
-    pre = []
     post = [h]
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = z if l == last else _act(z, spec.activation)
+        h = h @ w
+        h += b
+        if l != last and spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
         post.append(h)
-    return h, (pre, post)
+    return h, post
 
 
 def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray):
     """Exact reverse pass; returns ``(grads, input_grad)``.
 
     ``grads`` aligns with :meth:`MlpParams.parameters`.  Gradients are summed
-    over all leading batch axes of the cotangent.  ``input_grad`` is taken
-    with respect to the unscaled input ``x`` of :func:`mlp_forward`.
+    over the batch axes of the cotangent, per net of a stack.  ``input_grad``
+    is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`.
+    The relu mask ``post > 0`` equals ``pre > 0``.  The pass spends the cache.
     """
-    spec = params.spec
-    pre, post = cache
-    if cotangent.shape != pre[-1].shape:
+    post = cache
+    if cotangent.shape != post[-1].shape:
         raise ValueError(
-            f"cotangent shape {cotangent.shape} does not match output {pre[-1].shape}")
+            f"cotangent shape {cotangent.shape} does not match output {post[-1].shape}")
+    k = len(params.stack)
     grads: list = [None] * (2 * len(params.weights))
     g = cotangent
     for l in range(len(params.weights) - 1, -1, -1):
-        if l != len(params.weights) - 1:
-            g = g * _act_grad(pre[l], spec.activation)
-        flat_in = post[l].reshape(-1, post[l].shape[-1])
-        flat_g = g.reshape(-1, g.shape[-1])
-        grads[2 * l] = flat_in.T @ flat_g
-        grads[2 * l + 1] = flat_g.sum(axis=0)
-        g = g @ params.weights[l].T
+        flat_in = post[l].reshape(post[l].shape[:k] + (-1, post[l].shape[-1]))
+        flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
+        grads[2 * l] = flat_in.swapaxes(-1, -2) @ flat_g
+        grads[2 * l + 1] = flat_g.sum(axis=-2).reshape(params.biases[l].shape)
+        # post[l > 0] is spent once masked and takes the cotangent; post[0] may be x
+        mask = post[l] > 0.0 if l and params.spec.activation == "relu" else True
+        g = np.matmul(g, params.weights[l].swapaxes(-1, -2), out=post[l] if l else None)
+        g *= mask
     if params.input_scale is not None:
         g = g * params.input_scale
     return grads, g

@@ -99,12 +99,13 @@ def quadratic_grid_value(d: int, x0: float, n_fine: int, horizon: float) -> floa
 
 def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
                       weights, n_paths: int, seed: int,
-                      chunk: int = 20000) -> tuple[float, float]:
+                      chunk: int = 4096) -> tuple[float, float]:
     """Monte Carlo value of the European average-price call.
 
     Discounted positive part of the weighted running average at maturity,
-    using the same fine-grid quadrature as the solvers.  Returns
-    ``(estimate, standard_error)``.
+    using the same fine-grid quadrature as the solvers, summed directly
+    rather than through the whole running integral.  Paths are simulated
+    ``chunk`` at a time.  Returns ``(estimate, standard_error)``.
     """
     if n_paths < MIN_MC_PATHS:
         raise ValueError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
@@ -114,7 +115,7 @@ def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
     while done < n_paths:
         b = min(chunk, n_paths - done)
         batch = sde.simulate_batch(model, grid, b, seed, path_offset=done)
-        avg = sde.running_integral(batch, w)[:, -1] / grid.horizon
+        avg = (batch.states[:, :-1] @ w).sum(axis=1) * grid.h / grid.horizon
         pay = disc * np.maximum(avg - strike, 0.0)
         total += float(pay.sum())
         total_sq += float((pay * pay).sum())

@@ -4,7 +4,8 @@ Three schemes share one feature pipeline (simulate, optionally embed,
 time-augment, stream prefix signatures at the coarse dates) and one
 training step, :func:`train_step`, which reads the scheme from
 ``spec.method`` as data: a sign, the order of the coarse dates, the start
-value and, for ``reflected`` only, an exercise floor.
+value and, for ``reflected`` only, an exercise floor.  The per-date
+approximators are one stacked MLP, run once per step over all dates.
 
 * ``forward``  — a trainable initial value is propagated to maturity and
   fitted by matching the terminal payoff in mean square;
@@ -33,16 +34,19 @@ TAIL_FRACTION = 0.25   # trailing share of iterations averaged into the final es
 
 
 class SolverAbort(RuntimeError):
-    """Training hit a non-finite loss; carries run metadata."""
+    """Training hit a non-finite loss; carries run metadata and, once
+    :func:`train` attaches it, the partial :class:`RunReport` as ``report``."""
 
     def __init__(self, message: str, method: str, iteration: int, seed: int):
         super().__init__(message)
         self.method = method
         self.iteration = iteration
         self.seed = seed
+        self.report = None
 
     def __reduce__(self):  # rebuilt in the parent process after a worker aborts
-        return type(self), (str(self), self.method, self.iteration, self.seed)
+        return (type(self), (str(self), self.method, self.iteration, self.seed),
+                {"report": self.report})
 
 
 class SpecError(ValueError):
@@ -168,15 +172,16 @@ class ExperimentSpec:
 
 @dataclass
 class TrainState:
-    """Per-date approximators plus optional trainable scalar and embedding.
+    """Stacked approximators plus optional trainable scalar and embedding.
 
-    Every trainable array is a view of the one flat buffer ``params``, in
-    :func:`trainables` order, and ``adam`` is the one Adam state over it.
+    ``nets`` is one :class:`net.MlpParams` stack; slice ``[n]`` serves date
+    ``n``.  Every trainable array is a view of the one flat buffer ``params``,
+    in :func:`trainables` order, and ``adam`` is the one Adam state over it.
     ``grad`` has the same structure over a buffer of its own, into which
     each training step writes its gradients.
     """
 
-    nets: list
+    nets: net.MlpParams
     y0: np.ndarray | None = None
     embedding: net.EmbeddingParams | None = None
     params: np.ndarray | None = None
@@ -186,9 +191,8 @@ class TrainState:
 
 
 def trainables(state: TrainState) -> list:
-    """Every trainable array in buffer order: each net's parameters, then
-    the initial value and the embedding's parameters when present."""
-    out = [p for params in state.nets for p in params.parameters()]
+    """Trainable arrays in buffer order: the nets' layers, y0, the embedding."""
+    out = list(state.nets.parameters())
     if state.y0 is not None:
         out.append(state.y0)
     if state.embedding is not None:
@@ -201,14 +205,10 @@ def _pack(state: TrainState) -> TrainState:
     and rebind each as a view of it."""
     arrays = trainables(state)
     state.params = np.concatenate([np.ravel(a) for a in arrays])
-    views, offset = [], 0
-    for a in arrays:
-        views.append(state.params[offset:offset + a.size].reshape(a.shape))
-        offset += a.size
-    views = iter(views)  # rebound in trainables() order
-    for params in state.nets:
-        for l in range(len(params.weights)):
-            params.weights[l], params.biases[l] = next(views), next(views)
+    chunks = np.split(state.params, np.cumsum([a.size for a in arrays])[:-1])
+    views = iter([v.reshape(a.shape) for v, a in zip(chunks, arrays)])  # trainables() order
+    for l in range(len(state.nets.weights)):
+        state.nets.weights[l], state.nets.biases[l] = next(views), next(views)
     if state.y0 is not None:
         state.y0 = next(views)
     if state.embedding is not None:
@@ -244,19 +244,13 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
     answer; the discount matches the per-step growth of the forward scheme.
     """
     seed = derive_seed(spec.seed, 2)
-    total, count = 0.0, 0
-    chunk = 2048
-    remaining = PILOT_PATHS
-    offset = 0
-    while remaining > 0:
-        b = min(chunk, remaining)
-        batch = sde.simulate_batch(spec.model, spec.grid, b, seed, path_offset=offset)
+    total = 0.0
+    for offset in range(0, PILOT_PATHS, 2048):
+        batch = sde.simulate_batch(spec.model, spec.grid, min(2048, PILOT_PATHS - offset),
+                                   seed, path_offset=offset)
         total += float(np.sum(spec.payoff.values(batch)[0]))
-        count += b
-        remaining -= b
-        offset += b
     growth = (1.0 - spec.driver.dy() * spec.grid.dt) ** spec.grid.n_coarse
-    return total / count / growth
+    return total / PILOT_PATHS / growth
 
 
 def init_state(spec: ExperimentSpec) -> TrainState:
@@ -265,9 +259,9 @@ def init_state(spec: ExperimentSpec) -> TrainState:
     mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim)
     # the |x0| conditioning sits in the embedding when there is one, else in the nets
     input_scale = feature_input_scale(spec) if spec.embed_dim is None else None
-    state = TrainState(nets=[net.init_mlp(mlp_spec, derive_seed(spec.seed, 1, n),
-                                          input_scale=input_scale)
-                             for n in range(spec.grid.n_coarse)])
+    state = TrainState(nets=net.stack_mlps(
+        [net.init_mlp(mlp_spec, derive_seed(spec.seed, 1, n), input_scale=input_scale)
+         for n in range(spec.grid.n_coarse)]))
     if spec.method == "forward":
         y0 = spec.y0_init if spec.y0_init is not None else pilot_estimate(spec)
         state.y0 = np.asarray(float(y0))
@@ -333,14 +327,13 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     Feature ``n`` is the raw (log-)signature of the time-augmented (and
     optionally embedded) path up to coarse date ``n``; feature 0 is
     identically zero.  The ``|x0|`` conditioning is not applied here: it is
-    a fixed input scale of the approximators (the per-date nets, or the
+    a fixed input scale of the approximators (the stacked nets, or the
     embedding when there is one).  Returns ``(features, cache)`` where
     ``cache`` is ``None`` unless an embedding is being trained.
     """
     grid = batch.grid
     values = batch.states
     cache = None
-    stream_cache = None
     if state.embedding is not None:
         values, stream_cache = net.embed_stream(state.embedding, values)
     times = np.arange(grid.n_fine + 1) * grid.h
@@ -395,13 +388,6 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
     return net.embed_backward(state.embedding, cache.stream_cache, node_grads)
 
 
-def _check_finite(loss: float, spec: ExperimentSpec, state: TrainState, seed: int):
-    if not np.isfinite(loss):
-        raise SolverAbort(
-            f"non-finite loss at iteration {state.iteration} (seed {seed})",
-            spec.method, state.iteration, seed)
-
-
 def _scheme(spec: ExperimentSpec) -> tuple:
     """Sign and date order of the coarse recursion for ``spec.method``.
 
@@ -426,15 +412,14 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
     ``y - sign*f(y)*dt + sign*Σ z·ΔW``, with ``z`` the output of approximator
     ``n`` and ``ΔW`` the Brownian increment over segment ``n``.
 
-    Returns ``(ys, payoff, caches, masks)``: ``ys[:, n]`` is the value at
-    coarse date ``n``, ``payoff`` the terminal payoff, ``caches[n]`` the
-    cache of approximator ``n``, and ``masks[n]`` where the value stepped to
-    by date ``n`` stayed on or above the floor (``None`` without a floor).
+    Returns ``(ys, payoff, cache, masks)``: ``ys[:, n]`` is the value at
+    coarse date ``n``, ``payoff`` the terminal payoff, ``cache`` that of the
+    stacked approximators, and ``masks[n]`` where the value stepped to by
+    date ``n`` stayed on or above the floor (``None`` without a floor).
     """
     sign, dates = _scheme(spec)
     n_seg, dt = spec.grid.n_coarse, spec.grid.dt
-    zs, caches = zip(*(net.mlp_forward(state.nets[n], features[n])
-                       for n in range(n_seg)))
+    zs, cache = net.mlp_forward(state.nets, features)
     payoff, exercise = spec.payoff.values(batch)
     ys = np.empty((batch.batch_size, n_seg + 1))
     if sign > 0:
@@ -451,7 +436,7 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
             masks[n] = y >= exercise[:, n]
             y = np.maximum(exercise[:, n], y)
         ys[:, dst] = y
-    return ys, payoff, caches, masks
+    return ys, payoff, cache, masks
 
 
 def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
@@ -465,13 +450,14 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     mean.  With ``update``, the adjoint sweep walks the dates in reverse and
     one Adam step is applied to the flat buffer of every trainable array:
     the approximators, the embedding (when present) and, for ``forward``,
-    the initial value.  Returns
+    the initial value; the sweep fills every date's output cotangent, then
+    one stacked backward pass gives all net and feature gradients.  Returns
     ``(state, loss, estimate)``, the forward estimate taken after the update.
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
     _, coarse_incs = sde.coarsen(batch)
-    ys, payoff, caches, masks = rollout(state, spec, batch, features, coarse_incs)
+    ys, payoff, cache, masks = rollout(state, spec, batch, features, coarse_incs)
     sign, dates = _scheme(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if sign > 0:
@@ -480,21 +466,21 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
             estimate = float(np.mean(ys[:, 0]))
             resid = ys[:, 0] - estimate
         loss = float(np.mean(resid ** 2))
-    _check_finite(loss, spec, state, seed)
+    if not np.isfinite(loss):
+        raise SolverAbort(f"non-finite loss at iteration {state.iteration} (seed {seed})",
+                          spec.method, state.iteration, seed)
 
     if update:
         adj = 2.0 * resid / spec.batch_size
         step_factor = 1.0 - sign * spec.driver.dy() * spec.grid.dt
-        feature_cots = np.zeros_like(features) if fcache is not None else None
+        g_z = np.empty_like(cache[-1])
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]
-            g_z = sign * adj[:, None] * coarse_incs[:, n, :]
-            grads, g_x = net.mlp_backward(state.nets[n], caches[n], g_z)
-            _assign(state.grad.nets[n].parameters(), grads)
-            if feature_cots is not None:
-                feature_cots[n] = g_x
+            g_z[n] = sign * adj[:, None] * coarse_incs[:, n, :]
             adj = adj * step_factor
+        grads, feature_cots = net.mlp_backward(state.nets, cache, g_z)
+        _assign(state.grad.nets.parameters(), grads)
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)
         if fcache is not None:
@@ -518,7 +504,11 @@ def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
     start = time.perf_counter()
     for it in range(spec.iterations):
         seed = derive_seed(spec.seed, 4, it)
-        state, loss, estimate = train_step(state, spec, seed)
+        try:
+            state, loss, estimate = train_step(state, spec, seed)
+        except SolverAbort as exc:
+            exc.report = report   # the iterations before the blow-up
+            raise
         report.losses.append(loss)
         report.estimates.append(estimate)
         report.elapsed.append(time.perf_counter() - start)

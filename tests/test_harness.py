@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sigfbsde import cli, harness, solver
+from sigfbsde import cli, harness, sde, solver
 
 
 class TestLoadConfig:
@@ -115,6 +115,32 @@ class TestRunExperiment:
         curve = (tmp_path / "zero" / "curve_run0.csv").read_text()
         assert curve == "iteration,loss,y0_estimate,elapsed_s\n"
 
+    def test_abort_leaves_partial_curve(self, tmp_path, monkeypatch):
+        # the batch of iteration k carries a NaN state, so the loss turns
+        # non-finite after k finished iterations
+        k, simulate = 3, sde.simulate_batch
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > k:
+                batch.states[0, 1, 0] = np.nan
+            return batch
+
+        monkeypatch.setattr(sde, "simulate_batch", poisoned)
+        out = tmp_path / "aborted"
+        cfg = harness.load_config(overrides=tiny_quadratic_overrides(
+            out=str(out), method="backward", runs=1, workers=1))
+        with pytest.raises(solver.SolverAbort) as err:
+            harness.run_experiment(cfg)
+        assert err.value.iteration == k
+        assert err.value.report.iterations == k
+        rows = (out / "curve_run0.csv").read_text().splitlines()
+        assert rows[0] == "iteration,loss,y0_estimate,elapsed_s"
+        assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(k)]
+        assert not (out / "report.json").exists()
+
     def test_emission_is_deterministic(self, tmp_path):
         cfg = harness.load_config(overrides=tiny_quadratic_overrides(runs=1))
         table = harness.run_experiment(cfg)
@@ -214,6 +240,19 @@ class TestCli:
                          "--set", "runs=2", "--set", "workers=2"])
         assert code == 3
         assert "non-finite loss" in capsys.readouterr().err
+
+    def test_numerical_abort_in_worker_processes_leaves_curve(self, tmp_path, capsys):
+        out = tmp_path / "aborted"
+        code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
+                         "--set", "iterations=5", "--set", "n_fine=40",
+                         "--set", "y0_init=1e200", "--set", "runs=2",
+                         "--set", "workers=2", "--set", f"out={out}"])
+        assert code == 3
+        assert "non-finite loss" in capsys.readouterr().err
+        curves = sorted(p.name for p in out.glob("curve_run*.csv"))
+        assert curves == ["curve_run0.csv"]
+        assert (out / "curve_run0.csv").read_text() == \
+            "iteration,loss,y0_estimate,elapsed_s\n"
 
     def test_zero_workers_exits_two(self, tmp_path, capsys):
         out = tmp_path / "never"

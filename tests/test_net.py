@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sigfbsde import net
 from sigfbsde.sigcore import path_signature, sig_dim, signature_pullback, time_augment
 from conftest import central_difference
+
+
+def preactivations(params, x):
+    """Every layer's preactivation, computed from the parameters."""
+    pre, h = [], x if params.input_scale is None else x * params.input_scale
+    for w, b in zip(params.weights, params.biases):
+        pre.append(h @ w + b)
+        h = np.maximum(pre[-1], 0.0)
+    return pre
 
 
 def random_mlp(rng, spec, seed=0, kink_margin=1e-2, tries=50):
@@ -11,8 +21,7 @@ def random_mlp(rng, spec, seed=0, kink_margin=1e-2, tries=50):
     x = rng.uniform(-1.0, 1.0, size=(4, spec.in_dim))
     for attempt in range(tries):
         params = net.init_mlp(spec, seed + attempt, zero_output=False)
-        _, (pre, _) = net.mlp_forward(params, x)
-        if min(np.abs(z).min() for z in pre) > kink_margin:
+        if min(np.abs(z).min() for z in preactivations(params, x)) > kink_margin:
             return params, x
     raise AssertionError("could not find a kink-free probe point")
 
@@ -113,11 +122,89 @@ class TestMlpBackward:
         np.testing.assert_allclose(gx, central_difference(loss_at, x),
                                    rtol=1e-6, atol=1e-8)
 
+    def test_backward_leaves_input_and_output_intact(self, rng):
+        # the pass spends the hidden layers of the cache, nothing else
+        params = net.init_mlp(net.MlpSpec(3, 2, hidden=(4, 5)), 6, zero_output=False)
+        x = rng.standard_normal((6, 3))
+        out, cache = net.mlp_forward(params, x)
+        x_before, out_before = x.copy(), out.copy()
+        net.mlp_backward(params, cache, rng.standard_normal((6, 2)))
+        assert np.array_equal(x, x_before) and np.array_equal(out, out_before)
+
     def test_cotangent_shape_checked(self, rng):
         params = net.init_mlp(net.MlpSpec(3, 2), 0)
         _, cache = net.mlp_forward(params, rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
             net.mlp_backward(params, cache, np.zeros((2, 5)))
+
+
+def assert_stack_matches_separate_nets(nets, x, cot):
+    """Stacked forward and backward equal each net's own, bit for bit."""
+    stacked = net.stack_mlps(nets)
+    out, cache = net.mlp_forward(stacked, x)
+    grads, gx = net.mlp_backward(stacked, cache, cot)
+    for n, params in enumerate(nets):
+        out_n, cache_n = net.mlp_forward(params, x[n])
+        grads_n, gx_n = net.mlp_backward(params, cache_n, cot[n])
+        assert np.array_equal(out[n], out_n)
+        assert np.array_equal(gx[n], gx_n)
+        for g, g_n in zip(grads, grads_n):
+            assert np.array_equal(g[n].reshape(g_n.shape), g_n)
+
+
+class TestStackedMlp:
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_stack_is_bit_equal_to_separate_nets(self, rng, activation, scaled):
+        spec = net.MlpSpec(5, 2, hidden=(8, 6), activation=activation)
+        scale = np.array([1.0, 0.5, 0.1, 0.01, 2.0]) if scaled else None
+        nets = [net.init_mlp(spec, 10 + n, zero_output=False, input_scale=scale)
+                for n in range(4)]
+        assert_stack_matches_separate_nets(
+            nets, rng.standard_normal((4, 7, 5)), rng.standard_normal((4, 7, 2)))
+
+    def test_stack_layout(self):
+        spec = net.MlpSpec(3, 2, hidden=(4,))
+        stacked = net.stack_mlps([net.init_mlp(spec, n) for n in range(5)])
+        assert stacked.stack == (5,) and net.init_mlp(spec, 0).stack == ()
+        assert [w.shape for w in stacked.weights] == [(5, 3, 4), (5, 4, 2)]
+        assert [b.shape for b in stacked.biases] == [(5, 1, 4), (5, 1, 2)]
+
+    def test_input_must_carry_the_stack_axis(self, rng):
+        stacked = net.stack_mlps([net.init_mlp(net.MlpSpec(3, 1), n) for n in range(2)])
+        for shape in [(3, 4, 3), (4, 3), (2, 1, 4, 3)]:
+            with pytest.raises(ValueError):
+                net.mlp_forward(stacked, rng.standard_normal(shape))
+
+    def test_gradients_match_finite_differences(self, rng):
+        spec = net.MlpSpec(3, 2, hidden=(6, 5))
+        nets, xs = zip(*(random_mlp(rng, spec, seed=20 * n) for n in range(3)))
+        stacked = net.stack_mlps(list(nets))
+        x = np.stack(xs)
+        cot = rng.standard_normal((3, 4, 2))
+
+        def loss_at(_):
+            out, _ = net.mlp_forward(stacked, x)
+            return float(np.sum(out * cot))
+
+        _, cache = net.mlp_forward(stacked, x)
+        grads, gx = net.mlp_backward(stacked, cache, cot)
+        for arr, grad in zip(stacked.parameters(), grads):
+            np.testing.assert_allclose(grad, central_difference(loss_at, arr),
+                                       rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(gx, central_difference(loss_at, x),
+                                   rtol=1e-5, atol=1e-6)
+
+    @given(n_nets=st.integers(1, 5), batch=st.integers(1, 7),
+           widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    def test_stack_property(self, n_nets, batch, widths, seed):
+        rng = np.random.default_rng(seed)
+        spec = net.MlpSpec(widths[0], widths[-1], hidden=tuple(widths[1:-1]))
+        nets = [net.init_mlp(spec, seed + n, zero_output=False) for n in range(n_nets)]
+        assert_stack_matches_separate_nets(
+            nets, rng.standard_normal((n_nets, batch, spec.in_dim)),
+            rng.standard_normal((n_nets, batch, spec.out_dim)))
 
 
 class TestAdam:

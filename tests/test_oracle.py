@@ -121,6 +121,28 @@ class TestAsianEuropeanMc:
         ratio = se_small / se_big
         assert 1.6 <= ratio <= 2.4
 
+    def test_estimate_does_not_depend_on_chunk(self):
+        model = sde.ModelSpec.geometric((90.0, 110.0), 0.05, (0.15, 0.25))
+        grid = sde.GridSpec(1.0, 20, 4)
+        small, se_small = oracle.asian_european_mc(model, grid, 100.0, [0.5, 0.5],
+                                                   20_000, seed=8, chunk=1000)
+        big, se_big = oracle.asian_european_mc(model, grid, 100.0, [0.5, 0.5],
+                                               20_000, seed=8, chunk=20_000)
+        assert abs(small - big) <= 1e-12 * abs(big)
+        assert abs(se_small - se_big) <= 1e-9 * se_big
+
+    def test_terminal_sum_matches_running_integral(self):
+        # zero strike on positive paths: the estimate is the discounted mean
+        # of the terminal average, which running_integral also gives
+        model = sde.ModelSpec.geometric((90.0, 110.0), 0.05, (0.15, 0.25))
+        grid = sde.GridSpec(2.0, 60, 6)
+        w = np.array([0.3, 0.7])
+        est, _ = oracle.asian_european_mc(model, grid, 0.0, w, 3000, seed=9)
+        batch = sde.simulate_batch(model, grid, 3000, 9)
+        terminal = sde.running_integral(batch, w)[:, -1]
+        expect = math.exp(-0.05 * 2.0) * np.mean(terminal) / grid.horizon
+        assert abs(est - expect) <= 1e-13 * expect
+
     def test_path_floor_enforced(self):
         model = sde.ModelSpec.geometric(100.0, 0.05, 0.15)
         with pytest.raises(ValueError):

@@ -46,9 +46,9 @@ def amerasian_spec(**kw):
 
 
 def force_constant_output(state, value):
-    for params in state.nets:
-        params.weights[-1][:] = 0.0
-        params.biases[-1][:] = value
+    # the last layer of every date's net, through the stacked arrays
+    state.nets.weights[-1][:] = 0.0
+    state.nets.biases[-1][:] = value
 
 
 class TestSpecValidation:
@@ -122,8 +122,8 @@ class TestFeatures:
         grid = spec.grid
         times = np.arange(grid.n_fine + 1) * grid.h
         rescaled = batch.states / solver.feature_scale(spec.model)
+        _, post = net.mlp_forward(state.nets, features)
         for n in (1, 4, 9):
-            _, (_, post) = net.mlp_forward(state.nets[n], features[n])
             end = n * grid.fine_per_segment + 1
             for j in (0, 3):
                 prefix = time_augment(times[:end], rescaled[j, :end])
@@ -131,7 +131,7 @@ class TestFeatures:
                     expect = path_signature(prefix, depth).flatten()
                 else:
                     expect = log_signature(prefix, depth).coefficients
-                np.testing.assert_allclose(post[0][j], expect,
+                np.testing.assert_allclose(post[0][n, j], expect,
                                            rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("feature", ["signature", "log-signature"])
@@ -201,8 +201,10 @@ class TestForwardIteration:
             payoff=solver.PayoffKind("quadratic-integral"),
             depth=2, batch_size=512, iterations=1, seed=2, y0_init=0.4)
         state = solver.init_state(spec)
-        for n, params in enumerate(state.nets):
-            state.nets[n] = net.init_mlp(params.spec, 100 + n, zero_output=False)
+        for n in range(spec.grid.n_coarse):
+            fresh = net.init_mlp(state.nets.spec, 100 + n, zero_output=False)
+            for stacked, value in zip(state.nets.parameters(), fresh.parameters()):
+                stacked[n] = value
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 31)
         features, _ = solver.features_for_batch(state, batch, spec)
         _, coarse_incs = sde.coarsen(batch)
@@ -304,7 +306,7 @@ class TestTrain:
         assert sum(a.size for a in solver.trainables(state)) == state.params.size
 
         def all_views():
-            owned = [p for params in state.nets for p in params.parameters()]
+            owned = list(state.nets.parameters())
             owned += [state.y0, state.embedding.weight, state.embedding.bias]
             return all(np.shares_memory(a, state.params) for a in owned)
 
