@@ -175,19 +175,19 @@ def adam_step(state: AdamState, params: list, grads: list):
 
 @dataclass
 class EmbeddingParams:
-    """Pointwise affine map applied to every node of a value stream.
+    """Pointwise linear map applied to every node of a value stream.
 
+    It has no bias, which would cancel in the increments signatures see.
     ``input_scale`` (shape ``(d,)``) is a fixed, non-trainable per-channel
-    multiplier applied before the affine map; ``None`` leaves the stream as
+    multiplier applied before the linear map; ``None`` leaves the stream as
     it is.
     """
 
     weight: np.ndarray   # (d, d_out)
-    bias: np.ndarray     # (d_out,)
     input_scale: np.ndarray | None = None
 
     def parameters(self) -> list:
-        return [self.weight, self.bias]
+        return [self.weight]
 
 
 def init_embedding(in_dim: int, out_dim: int, seed: int,
@@ -195,7 +195,7 @@ def init_embedding(in_dim: int, out_dim: int, seed: int,
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / in_dim)
     return EmbeddingParams(rng.uniform(-bound, bound, size=(in_dim, out_dim)),
-                           np.zeros(out_dim), input_scale)
+                           input_scale)
 
 
 def embed_stream(params: EmbeddingParams, stream: np.ndarray):
@@ -206,12 +206,12 @@ def embed_stream(params: EmbeddingParams, stream: np.ndarray):
             f"{params.weight.shape[0]}")
     if params.input_scale is not None:
         stream = stream * params.input_scale
-    return stream @ params.weight + params.bias, stream
+    return stream @ params.weight, stream
 
 
 def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray) -> list:
-    """Reverse of :func:`embed_stream`; returns the parameter gradients ``[dW, db]``."""
+    """Reverse of :func:`embed_stream`; returns the parameter gradients ``[dW]``."""
     stream = cache
     flat_in = stream.reshape(-1, stream.shape[-1])
     flat_g = cotangent.reshape(-1, cotangent.shape[-1])
-    return [flat_in.T @ flat_g, flat_g.sum(axis=0)]
+    return [flat_in.T @ flat_g]

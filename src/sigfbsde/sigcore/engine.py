@@ -9,7 +9,9 @@ broadcast over them.  The level-0 scalar is carried separately by callers
 (1 for group-like series, 0 for Lie-like ones).
 
 Everything here is pure-numpy and allocation-only; reverse-mode companions
-(`*_vjp`) return cotangents with the same layout.
+(`*_vjp`) return cotangents with the same layout.  The block kernels and
+their reverse passes are closed-form up to depth 3; the sequential Chen
+scan (:func:`signature_scan`) is the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -254,29 +256,6 @@ def product_vjp(a: Levels, b: Levels, cot: Levels,
     return grad_a, grad_b
 
 
-def chen_step_vjp(prev: Levels, inc: np.ndarray, cot: Levels) -> tuple[Levels, np.ndarray]:
-    """Cotangents of :func:`chen_step` w.r.t. the running levels and the increment."""
-    m = len(prev)
-    d = inc.shape[-1]
-    pw = segment_exp(inc, m)
-    grad_prev = [cot[k - 1].copy() for k in range(1, m + 1)]
-    grad_pw = [cot[k - 1].copy() for k in range(1, m + 1)]
-    for k in range(1, m + 1):
-        for i in range(1, k):
-            q = k - i
-            grad_prev[i - 1] += _contract_right(cot[k - 1], pw[q - 1], d, i, q)
-            grad_pw[q - 1] += _contract_left(cot[k - 1], prev[i - 1], d, i, q)
-    # unwind pw_q = pw_{q-1} ⊗ inc / q down to pw_1 = inc
-    extra = None
-    for q in range(m, 1, -1):
-        g = grad_pw[q - 1] / q
-        grad_pw[q - 2] = grad_pw[q - 2] + _contract_right(g, inc, d, q - 1, 1)
-        term = _contract_left(g, pw[q - 2], d, q - 1, 1)
-        extra = term if extra is None else extra + term
-    grad_inc = grad_pw[0] if extra is None else grad_pw[0] + extra
-    return grad_prev, grad_inc
-
-
 def log_of_group_vjp(s: Levels, cot: Levels) -> Levels:
     """Cotangent of :func:`log_of_group` with respect to the input levels.
 
@@ -298,47 +277,76 @@ def log_of_group_vjp(s: Levels, cot: Levels) -> Levels:
     return [g + h for g, h in zip(grad, carry)]
 
 
-# ---------------------------------------------------------------------------
-# streamed signatures with reverse pass
-# ---------------------------------------------------------------------------
+def _revcumsum(a: np.ndarray) -> np.ndarray:
+    """Cumulative sum over the step axis ``-2``, from the last step back."""
+    return np.cumsum(a[..., ::-1, :], axis=-2)[..., ::-1, :]
 
-def stream_with_cache(increments: np.ndarray, depth: int) -> list[Levels]:
-    """Sequential prefix signatures after every fine step.
 
-    Returns ``n+1`` level lists; entry ``s`` is the signature of steps
-    ``1..s`` (entry 0 the identity).  Kept for the reverse pass, so every
-    intermediate is materialised.
+def block_signatures_vjp(increments: np.ndarray, depth: int, cot: Levels) -> np.ndarray:
+    """Cotangent of :func:`block_signatures` with respect to ``increments``.
+
+    The forward's sums run in reverse for depths 1-3, with its terms ``mid``
+    and ``a`` recomputed, not cached.  For level cotangents ``G_k`` and
+    ``rev`` a cumulative sum from the last step back: depth 3 gives
+    ``g_a = x G3ᵀ`` (``G3`` as ``(d², d)``) and ``g_x += a G3``, then
+    ``rev(g_a) - g_a/2 + G2`` flows through ``mid⊗x`` and ``-g_a/12``
+    through ``x⊗x``; depth 2 gives ``g_mid = x G2ᵀ`` and ``g_x += mid G2``;
+    every depth ends with ``g_x += rev(g_mid) - g_mid/2 + G1``.
     """
-    batch = increments.shape[:-2]
-    d = increments.shape[-1]
-    steps = _step_major(increments)
-    sigs = [identity_levels(batch, d, depth)]
-    for s in range(steps.shape[0]):
-        sigs.append(chen_step(sigs[-1], steps[s]))
-    return sigs
+    if depth > 3:
+        raise ValueError(f"no closed-form block signature VJP at depth {depth} > 3")
+    x = increments
+    d = x.shape[-1]
+    g_x = np.repeat(cot[0][..., None, :], x.shape[-2], axis=-2)
+    if depth == 1:
+        return g_x
+    mid = np.cumsum(x, axis=-2)
+    mid -= 0.5 * x
+    if depth == 2:
+        g2 = cot[1].reshape(cot[1].shape[:-1] + (d, d))
+        g_mid = x @ np.swapaxes(g2, -1, -2)
+        g_x += mid @ g2
+    else:
+        step2 = _outer(mid, x)
+        a = np.cumsum(step2, axis=-2)
+        a -= 0.5 * step2
+        a -= _outer(x, x) / 12.0
+        g3 = cot[2].reshape(cot[2].shape[:-1] + (d * d, d))
+        g_a = x @ np.swapaxes(g3, -1, -2)
+        g_x += a @ g3
+        per_step = x.shape + (d,)
+        g_step2 = (_revcumsum(g_a) - 0.5 * g_a + cot[1][..., None, :]).reshape(per_step)
+        g_sq = g_a.reshape(per_step) / 12.0
+        g_mid = (g_step2 @ x[..., None])[..., 0]
+        g_x += (mid[..., None, :] @ g_step2)[..., 0, :]
+        g_x -= ((g_sq + np.swapaxes(g_sq, -1, -2)) @ x[..., None])[..., 0]
+    g_x += _revcumsum(g_mid)
+    g_x -= 0.5 * g_mid
+    return g_x
 
 
-def stream_pullback(sigs: list[Levels], increments: np.ndarray,
-                    tap_cotangents: dict[int, Levels]) -> np.ndarray:
-    """Reverse traversal of the streamed scan.
+def checkpoint_scan_vjp(increments: np.ndarray, fine_per_segment: int,
+                        prefixes: Levels, cot: Levels) -> np.ndarray:
+    """Cotangent of :func:`checkpoint_scan` with respect to ``increments``.
 
-    ``tap_cotangents[s]`` is the cotangent injected on the prefix signature
-    after fine step ``s`` (a cotangent at ``s = 0`` is legal but inert).
-    Returns the gradient with respect to ``increments``.
+    ``prefixes`` is the scan's output and ``cot`` a cotangent of the same
+    shapes, one entry per checkpoint slot (slot 0, the identity, is inert).
+    The scan's ``N`` products are walked back with :func:`product_vjp`, then
+    one :func:`block_signatures_vjp` runs over all blocks.
     """
-    n = increments.shape[-2]
-    steps = _step_major(increments)
-    grad_inc = np.zeros_like(increments)
-    adj: Levels | None = None
-    for s in range(n, 0, -1):
-        if s in tap_cotangents:
-            taps = tap_cotangents[s]
-            adj = taps if adj is None else [a + t for a, t in zip(adj, taps)]
-        if adj is None:
-            continue
-        adj, g_inc = chen_step_vjp(sigs[s - 1], steps[s - 1], adj)
-        grad_inc[..., s - 1, :] = g_inc
-    return grad_inc
+    d, depth = increments.shape[-1], len(prefixes)
+    blocks = increments.reshape(increments.shape[:-2] + (-1, fine_per_segment, d))
+    # product_vjp reads a block only below its top level
+    lower = block_signatures(blocks, depth - 1) if depth > 1 else []
+    block_cot = [np.empty_like(c[..., 1:, :]) for c in cot]
+    adj = identity_levels(blocks.shape[:-3], d, depth)
+    for seg in range(blocks.shape[-3], 0, -1):
+        adj = [a + c[..., seg, :] for a, c in zip(adj, cot)]
+        adj, g_block = product_vjp([p[..., seg - 1, :] for p in prefixes],
+                                   [b[..., seg - 1, :] for b in lower], adj)
+        for k in range(depth):
+            block_cot[k][..., seg - 1, :] = g_block[k]
+    return block_signatures_vjp(blocks, depth, block_cot).reshape(increments.shape)
 
 
 def increments_to_nodes_grad(grad_inc: np.ndarray) -> np.ndarray:

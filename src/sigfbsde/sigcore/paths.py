@@ -1,4 +1,4 @@
-"""Signatures of discretised paths: streaming computation and reverse mode."""
+"""Signatures of discretised paths: forward computation and reverse mode."""
 
 from __future__ import annotations
 
@@ -147,25 +147,22 @@ def signature_pullback(nodes, depth: int, cotangent) -> np.ndarray:
 
     ``cotangent`` is either a :class:`TruncatedTensorSeries` or a flat vector
     of ``sig_dim`` coefficients shaped like the signature of ``nodes``.
-    The reverse pass walks the streamed product chain segment by segment.
+    The reverse pass is :func:`engine.block_signatures_vjp` with the whole
+    path as one block, so ``depth`` is at most 3.
     """
     nodes = _path_nodes(nodes)
-    n, d = nodes.shape[0] - 1, nodes.shape[1]
+    d = nodes.shape[1]
     if isinstance(cotangent, TruncatedTensorSeries):
         if cotangent.channels != d or cotangent.depth != depth:
             raise ShapeMismatchError(
                 f"cotangent is for (channels={cotangent.channels}, "
                 f"depth={cotangent.depth}), path has (channels={d}, depth={depth})")
-        cot_levels = [lvl.copy() for lvl in cotangent.levels]
+        cot_levels = list(cotangent.levels)
     else:
         cot = np.asarray(cotangent, dtype=float)
         if cot.shape != (sig_dim(d, depth),):
             raise ShapeMismatchError(
                 f"cotangent has shape {cot.shape}, expected ({sig_dim(d, depth)},)")
-        cot_levels = [lvl.copy() for lvl in engine.split_flat(cot, d, depth)]
-    if n == 0:
-        return np.zeros_like(nodes)
-    increments = np.diff(nodes, axis=0)
-    sigs = engine.stream_with_cache(increments, depth)
-    grad_inc = engine.stream_pullback(sigs, increments, {n: cot_levels})
+        cot_levels = engine.split_flat(cot, d, depth)
+    grad_inc = engine.block_signatures_vjp(np.diff(nodes, axis=0), depth, cot_levels)
     return engine.increments_to_nodes_grad(grad_inc)

@@ -1,7 +1,7 @@
 """Training procedures for path-dependent FBSDEs on signature features.
 
 Three schemes share one feature pipeline (simulate, optionally embed,
-time-augment, stream prefix signatures at the coarse dates) and one
+time-augment, checkpoint-scan prefix signatures at the coarse dates) and one
 training step, :func:`train_step`, which reads the scheme from
 ``spec.method`` as data: a sign, the order of the coarse dates, the start
 value and, for ``reflected`` only, an exercise floor.  The per-date
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import net, sde
 from .sigcore import engine, lyndon
-from .sigcore.tensor import sig_dim
 
 METHODS = ("forward", "backward", "reflected")
 FEATURE_KINDS = ("signature", "log-signature")
@@ -155,6 +154,9 @@ class ExperimentSpec:
             raise SpecError(
                 f"embedding dimension {self.embed_dim} must lie in "
                 f"(0, {self.model.dim})")
+        if self.embed_dim is not None and self.depth > 3:
+            raise SpecError(f"m={self.depth} > 3 with embed_dim={self.embed_dim}: "
+                            f"no closed-form reverse pass into the embedding")
         if self.batch_size < 1 or self.iterations < 0 or self.runs < 1:
             raise SpecError("batch_size/iterations/runs out of range")
 
@@ -166,7 +168,7 @@ class ExperimentSpec:
     @property
     def feature_width(self) -> int:
         if self.feature == "signature":
-            return sig_dim(self.stream_channels, self.depth)
+            return engine.sig_width(self.stream_channels, self.depth)
         return lyndon.lyndon_count(self.stream_channels, self.depth)
 
 
@@ -212,7 +214,7 @@ def _pack(state: TrainState) -> TrainState:
     if state.y0 is not None:
         state.y0 = next(views)
     if state.embedding is not None:
-        state.embedding.weight, state.embedding.bias = next(views), next(views)
+        state.embedding.weight = next(views)
     return state
 
 
@@ -282,8 +284,7 @@ class FeatureCache:
 
     stream_cache: np.ndarray
     increments: np.ndarray
-    sigs: list
-    fine_per_segment: int
+    prefixes: list   # checkpoint_scan levels, one slot per coarse date 0..N
 
 
 def feature_scale(model: sde.ModelSpec) -> np.ndarray:
@@ -346,14 +347,9 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
         raise SpecError(
             f"stream has {increments.shape[-1]} channels, expected {d_hat}")
 
-    if state.embedding is None:
-        stacked = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
-    else:
-        sigs = engine.stream_with_cache(increments, spec.depth)
-        cache = FeatureCache(stream_cache, increments, sigs, grid.fine_per_segment)
-        m = grid.fine_per_segment
-        stacked = [np.stack([sigs[n * m][k] for n in range(grid.n_coarse + 1)], axis=1)
-                   for k in range(spec.depth)]
+    stacked = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
+    if state.embedding is not None:
+        cache = FeatureCache(stream_cache, increments, stacked)
 
     if spec.feature == "signature":
         flat = engine.flatten_levels(stacked)
@@ -369,21 +365,18 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
 
 def features_backward(state: TrainState, spec: ExperimentSpec,
                       cache: FeatureCache, feature_cots: np.ndarray):
-    """Pull feature cotangents back to embedding-parameter gradients."""
-    grid_m = cache.fine_per_segment
+    """Pull the feature cotangents of all dates back to embedding gradients."""
     d_hat = spec.stream_channels
-    taps: dict[int, list] = {}
-    for n in range(1, feature_cots.shape[0]):
-        cot = feature_cots[n]
-        if not np.any(cot):
-            continue
-        if spec.feature == "signature":
-            levels = engine.split_flat(cot, d_hat, spec.depth)
-        else:
-            tensor_cot = lyndon.project_vjp(cot, d_hat, spec.depth)
-            levels = engine.log_of_group_vjp(cache.sigs[n * grid_m], tensor_cot)
-        taps[n * grid_m] = levels
-    grad_inc = engine.stream_pullback(cache.sigs, cache.increments, taps)
+    n_seg, batch_size, width = feature_cots.shape
+    cot = np.zeros((batch_size, n_seg + 1, width))
+    cot[:, :n_seg] = np.moveaxis(feature_cots, 0, 1)
+    if spec.feature == "signature":
+        levels = engine.split_flat(cot, d_hat, spec.depth)
+    else:
+        levels = engine.log_of_group_vjp(cache.prefixes,
+                                         lyndon.project_vjp(cot, d_hat, spec.depth))
+    grad_inc = engine.checkpoint_scan_vjp(cache.increments, spec.grid.fine_per_segment,
+                                          cache.prefixes, levels)
     node_grads = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
     return net.embed_backward(state.embedding, cache.stream_cache, node_grads)
 

@@ -198,6 +198,16 @@ class TestCli:
         assert "n_coarse=0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_embedding_beyond_depth_three_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "quadratic", "--profile", "desk",
+                         "--out", str(out), "--set", "d=30", "--set", "m=4",
+                         "--set", "iterations=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "m=4" in err and "embed_dim" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, setting", [
         ("quadratic", "rate=0.5"), ("quadratic", "sigma=3"),
         ("quadratic", "strike=1"), ("lookback", "strike=1")])

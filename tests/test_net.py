@@ -257,26 +257,19 @@ class TestAdam:
 
 
 class TestEmbedding:
-    def test_zero_weight_gives_constant_bias(self, rng):
-        params = net.EmbeddingParams(np.zeros((3, 2)), np.array([1.0, -1.0]))
-        out, _ = net.embed_stream(params, rng.standard_normal((4, 6, 3)))
-        assert np.all(out == np.array([1.0, -1.0]))
-
     def test_identity_map_preserves_stream(self, rng):
-        params = net.EmbeddingParams(np.eye(3), np.zeros(3))
+        params = net.EmbeddingParams(np.eye(3))
         stream = rng.standard_normal((2, 5, 3))
         out, _ = net.embed_stream(params, stream)
         np.testing.assert_array_equal(out, stream)
 
     def test_input_scale_multiplies_stream_before_affine_map(self, rng):
         scale = np.array([0.5, 0.01])
-        params = net.EmbeddingParams(rng.standard_normal((2, 3)),
-                                     rng.standard_normal(3), scale)
+        params = net.EmbeddingParams(rng.standard_normal((2, 3)), scale)
         stream = rng.standard_normal((4, 5, 2))
         out, _ = net.embed_stream(params, stream)
-        np.testing.assert_allclose(out, (stream * scale) @ params.weight
-                                   + params.bias, rtol=1e-12)
-        assert len(params.parameters()) == 2
+        np.testing.assert_allclose(out, (stream * scale) @ params.weight, rtol=1e-12)
+        assert len(params.parameters()) == 1
 
     def test_channel_mismatch_rejected(self, rng):
         params = net.init_embedding(4, 2, 0)
@@ -302,6 +295,4 @@ class TestEmbedding:
         grads = net.embed_backward(params, cache, node_grads)
 
         numeric_w = central_difference(lambda _: objective(None), params.weight)
-        numeric_b = central_difference(lambda _: objective(None), params.bias)
         np.testing.assert_allclose(grads[0], numeric_w, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(grads[1], numeric_b, rtol=1e-5, atol=1e-6)

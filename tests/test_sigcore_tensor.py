@@ -229,3 +229,41 @@ class TestBlockKernels:
             want = engine.signature_scan(inc[..., :seg * m, :], depth)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g[..., seg, :], w, rtol=1e-12, atol=1e-13)
+
+    @given(_shapes)
+    def test_block_signatures_vjp_matches_central_differences(self, shape):
+        d, depth, m, batch, seed = shape
+        rng = np.random.default_rng(seed)
+        inc = rng.standard_normal(batch + (m, d))
+        cot = [rng.standard_normal(batch + (d ** k,)) for k in range(1, depth + 1)]
+
+        def objective(x):
+            return sum(float(np.sum(c * lvl))
+                       for c, lvl in zip(cot, engine.block_signatures(x, depth)))
+
+        got = engine.block_signatures_vjp(inc, depth, cot)
+        np.testing.assert_allclose(got, central_difference(objective, inc),
+                                   rtol=1e-6, atol=1e-6)
+
+    @given(_shapes, st.integers(1, 3))
+    def test_checkpoint_scan_vjp_matches_central_differences(self, shape, n_seg):
+        # a cotangent on every checkpoint slot, slot 0 (the identity) included
+        d, depth, m, batch, seed = shape
+        rng = np.random.default_rng(seed)
+        inc = rng.standard_normal(batch + (n_seg * m, d))
+        prefixes = engine.checkpoint_scan(inc, m, depth)
+        cot = [rng.standard_normal(p.shape) for p in prefixes]
+
+        def objective(x):
+            return sum(float(np.sum(c * lvl))
+                       for c, lvl in zip(cot, engine.checkpoint_scan(x, m, depth)))
+
+        got = engine.checkpoint_scan_vjp(inc, m, prefixes, cot)
+        np.testing.assert_allclose(got, central_difference(objective, inc),
+                                   rtol=1e-6, atol=1e-6)
+
+    def test_reverse_pass_rejects_depth_beyond_three(self, rng):
+        inc = rng.standard_normal((5, 2))
+        cot = [np.ones(2 ** k) for k in range(1, 5)]
+        with pytest.raises(ValueError, match="depth 4"):
+            engine.block_signatures_vjp(inc, 4, cot)

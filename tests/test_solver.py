@@ -66,6 +66,21 @@ class TestSpecValidation:
                 payoff=solver.PayoffKind("quadratic-integral"),
                 depth=2, embed_dim=3)
 
+    def test_embedding_beyond_depth_three_rejected(self):
+        def spec(depth, embed_dim):
+            return solver.ExperimentSpec(
+                method="backward",
+                model=sde.ModelSpec.arithmetic_unit(0.0, dim=3),
+                grid=sde.GridSpec(1.0, 10, 5),
+                driver=solver.DriverKind(),
+                payoff=solver.PayoffKind("quadratic-integral"),
+                depth=depth, embed_dim=embed_dim)
+
+        with pytest.raises(solver.SpecError, match="m=4.*embed_dim=2"):
+            spec(4, 2)
+        assert spec(3, 2).depth == 3
+        assert spec(4, None).depth == 4
+
     def test_unknown_method_rejected(self):
         with pytest.raises(solver.SpecError):
             lookback_spec(method="sideways")
@@ -86,7 +101,7 @@ class TestFeatures:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 8, 5)
         plain, _ = solver.features_for_batch(state, batch, spec)
-        state.embedding = net.EmbeddingParams(np.eye(1), np.zeros(1))
+        state.embedding = net.EmbeddingParams(np.eye(1))
         embedded, cache = solver.features_for_batch(state, batch, spec)
         assert cache is not None
         # block-combined and sequential scans associate differently
@@ -134,8 +149,13 @@ class TestFeatures:
                 np.testing.assert_allclose(post[0][n, j], expect,
                                            rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize("feature", ["signature", "log-signature"])
-    def test_embedding_gradient_matches_finite_differences(self, rng, feature):
+    @pytest.mark.parametrize("feature, depth", [
+        pytest.param("signature", 2, id="signature"),
+        pytest.param("log-signature", 2, id="log-signature"),
+        pytest.param("signature", 3, id="signature-depth3"),
+        pytest.param("log-signature", 3, id="log-signature-depth3"),
+    ])
+    def test_embedding_gradient_matches_finite_differences(self, rng, feature, depth):
         spec = solver.ExperimentSpec(
             method="backward",
             model=sde.ModelSpec.geometric((90.0, 100.0, 120.0), 0.05,
@@ -143,7 +163,7 @@ class TestFeatures:
             grid=sde.GridSpec(1.0, 12, 3),
             driver=solver.DriverKind(0.05),
             payoff=solver.PayoffKind("asian-basket-call", strike=100.0),
-            depth=2, feature=feature, embed_dim=2, batch_size=3, seed=1)
+            depth=depth, feature=feature, embed_dim=2, batch_size=3, seed=1)
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 3, 9)
         cot = rng.standard_normal((spec.grid.n_coarse, 3, spec.feature_width))
@@ -155,9 +175,7 @@ class TestFeatures:
         _, cache = solver.features_for_batch(state, batch, spec)
         grads = solver.features_backward(state, spec, cache, cot)
         numeric_w = central_difference(objective, state.embedding.weight)
-        numeric_b = central_difference(objective, state.embedding.bias)
         np.testing.assert_allclose(grads[0], numeric_w, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(grads[1], numeric_b, rtol=1e-5, atol=1e-6)
 
     def test_log_features_width(self):
         spec = lookback_spec(feature="log-signature", batch_size=4)
@@ -307,7 +325,7 @@ class TestTrain:
 
         def all_views():
             owned = list(state.nets.parameters())
-            owned += [state.y0, state.embedding.weight, state.embedding.bias]
+            owned += [state.y0, state.embedding.weight]
             return all(np.shares_memory(a, state.params) for a in owned)
 
         assert all_views()
