@@ -117,8 +117,10 @@ def _lookback_check(doc: dict):
 
 
 def _lookback_references(cfg: HarnessConfig) -> dict:
-    return {"reference": oracle.lookback_price(_lookback_params(cfg.document)),
-            "kind": "analytic lookback value"}
+    params = _lookback_params(cfg.document)
+    return {"reference": oracle.lookback_discrete_price(params, cfg.document["n_fine"]),
+            "kind": "continuity-corrected lookback value on the simulation grid",
+            "continuous_reference": oracle.lookback_price(params)}
 
 
 def _quadratic_references(cfg: HarnessConfig) -> dict:

@@ -110,13 +110,16 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     return h, post
 
 
-def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray):
+def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
+                 need_input_grad: bool):
     """Exact reverse pass; returns ``(grads, input_grad)``.
 
     ``grads`` aligns with :meth:`MlpParams.parameters`.  Gradients are summed
     over the batch axes of the cotangent, per net of a stack.  ``input_grad``
-    is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`.
-    The relu mask ``post > 0`` equals ``pre > 0``.  The pass spends the cache.
+    is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`;
+    it is ``None`` unless ``need_input_grad``, which skips the layer-0
+    product.  The relu mask ``post > 0`` equals ``pre > 0``.  The pass spends
+    the cache.
     """
     post = cache
     if cotangent.shape != post[-1].shape:
@@ -130,6 +133,8 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray):
         flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
         grads[2 * l] = flat_in.swapaxes(-1, -2) @ flat_g
         grads[2 * l + 1] = flat_g.sum(axis=-2).reshape(params.biases[l].shape)
+        if not (l or need_input_grad):
+            return grads, None
         # post[l > 0] is spent once masked and takes the cotangent; post[0] may be x
         mask = post[l] > 0.0 if l and params.spec.activation == "relu" else True
         g = np.matmul(g, params.weights[l].swapaxes(-1, -2), out=post[l] if l else None)
@@ -180,7 +185,7 @@ class EmbeddingParams:
     It has no bias, which would cancel in the increments signatures see.
     ``input_scale`` (shape ``(d,)``) is a fixed, non-trainable per-channel
     multiplier applied before the linear map; ``None`` leaves the stream as
-    it is.
+    it is.  It is folded into the weight, so the stream is never copied.
     """
 
     weight: np.ndarray   # (d, d_out)
@@ -199,14 +204,18 @@ def init_embedding(in_dim: int, out_dim: int, seed: int,
 
 
 def embed_stream(params: EmbeddingParams, stream: np.ndarray):
-    """Map a ``(..., n+1, d)`` stream nodewise to ``(..., n+1, d_out)``."""
+    """Map a ``(..., n+1, d)`` stream nodewise to ``(..., n+1, d_out)``.
+
+    Returns ``(embedded, cache)``; the cache is ``stream`` itself.
+    """
     if stream.shape[-1] != params.weight.shape[0]:
         raise ValueError(
             f"stream has {stream.shape[-1]} channels, embedding expects "
             f"{params.weight.shape[0]}")
+    weight = params.weight
     if params.input_scale is not None:
-        stream = stream * params.input_scale
-    return stream @ params.weight, stream
+        weight = params.input_scale[:, None] * weight
+    return stream @ weight, stream
 
 
 def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray) -> list:
@@ -214,4 +223,7 @@ def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray) -> lis
     stream = cache
     flat_in = stream.reshape(-1, stream.shape[-1])
     flat_g = cotangent.reshape(-1, cotangent.shape[-1])
-    return [flat_in.T @ flat_g]
+    grad = flat_in.T @ flat_g
+    if params.input_scale is not None:
+        grad *= params.input_scale[:, None]
+    return [grad]

@@ -60,6 +60,26 @@ def lookback_price(p: LookbackParams) -> float:
             * (norm_cdf(-p1) - disc * (m / x) ** (2.0 * r / sig ** 2) * norm_cdf(-p3)))
 
 
+# Broadie–Glasserman–Kou shift, -zeta(1/2) / sqrt(2 pi)
+BGK_BETA = 0.5825971579390108
+
+
+def lookback_discrete_price(p: LookbackParams, n_steps: int) -> float:
+    """Floating-strike lookback call monitored at ``n_steps`` equal steps.
+
+    Broadie–Glasserman–Kou continuity correction ("Connecting discrete and
+    continuous path-dependent options", 1999): the discrete minimum behaves
+    like the continuous one times ``e^{βσ√Δt}``, with ``Δt`` the monitoring
+    step, which turns the closed form ``C`` into
+    ``e^{βσ√Δt}·C − (e^{βσ√Δt} − 1)·spot``.  It tends to ``C`` as
+    ``n_steps`` grows.
+    """
+    if n_steps < 1:
+        raise OracleDomainError(f"need at least one monitoring step, got {n_steps}")
+    shift = math.exp(BGK_BETA * p.sigma * math.sqrt(p.remaining / n_steps))
+    return shift * lookback_price(p) - (shift - 1.0) * p.spot
+
+
 def quadratic_pde_solution(t: float, prefix_values: np.ndarray,
                            horizon: float) -> float:
     """Exact value of the squared-integral claim given the path so far.

@@ -3,6 +3,11 @@
 Brownian increments come from counter-based per-path streams (Philox keyed
 by ``(seed, path index)``), so a path is bit-identical for a given key no
 matter the batch size or the order paths are generated in.
+
+One ``(B, n_fine+1, d)`` buffer per batch serves every fine-grid stage: the
+increments are drawn into its rows ``1..n_fine``, summed per coarse segment,
+and then stepped over in place by the Euler recursion, so the buffer ends up
+holding the states.  A batch keeps only the states and the coarse increments.
 """
 
 from __future__ import annotations
@@ -101,10 +106,11 @@ class ModelSpec:
 
 @dataclass
 class PathBatch:
-    """Simulated fine-grid states plus the Brownian increments that drove them."""
+    """Simulated fine-grid states plus the per-segment Brownian increments
+    that drove them."""
 
-    states: np.ndarray         # (B, n_fine+1, d)
-    brownian_fine: np.ndarray  # (B, n_fine, d)
+    states: np.ndarray             # (B, n_fine+1, d)
+    coarse_increments: np.ndarray  # (B, n_coarse, d)
     grid: GridSpec
     seed: int
     path_ids: np.ndarray = field(default=None)
@@ -114,34 +120,41 @@ class PathBatch:
         return self.states.shape[0]
 
 
-def _euler_states(model: ModelSpec, h: float, increments: np.ndarray) -> np.ndarray:
-    """Run the explicit Euler recursion for a block of paths."""
-    batch, n, d = increments.shape
-    states = np.empty((batch, n + 1, d))
+def _euler_states(model: ModelSpec, h: float, states: np.ndarray) -> np.ndarray:
+    """Run the explicit Euler recursion in place over a block of paths.
+
+    Rows ``1..n`` of ``states`` hold the increments on entry and the states
+    on exit; row 0 is set to ``x0``.  Step ``i`` reads ``x_i`` from row ``i``
+    and the increment from row ``i+1``, and writes ``x_{i+1}`` over it.
+    """
+    n = states.shape[1] - 1
     states[:, 0, :] = np.asarray(model.x0, dtype=float)
     if model.kind == "arithmetic-unit":
         for i in range(n):
-            states[:, i + 1, :] = states[:, i, :] + increments[:, i, :]
+            states[:, i + 1, :] += states[:, i, :]
     else:
         r = model.rate
         sig = np.asarray(model.sigma, dtype=float)
         for i in range(n):
             x = states[:, i, :]
-            states[:, i + 1, :] = x + r * x * h + sig * x * increments[:, i, :]
+            states[:, i + 1, :] = x + r * x * h + sig * x * states[:, i + 1, :]
     return states
 
 
-def brownian_increments(grid: GridSpec, dim: int, seed: int,
-                        path_ids: np.ndarray) -> np.ndarray:
-    """Draw N(0, h) increments from one Philox stream per path id.
+def brownian_increments(grid: GridSpec, seed: int, path_ids: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Draw N(0, h) increments into ``out`` from one Philox stream per path id.
 
-    The stream key is ``(seed, path_id)``, so a path's increments are
-    bit-identical however the batch is sliced or ordered.  One bit
-    generator is recycled by resetting its counter state, which matches a
-    freshly keyed generator bit for bit.
+    ``out`` has shape ``(len(path_ids), n_fine, d)``, and each ``out[row]``
+    must be C-contiguous (rows ``1..n_fine`` of a state buffer are).  The
+    stream key is ``(seed, path_id)``, so a path's increments are
+    bit-identical however the batch is sliced or ordered.  One bit generator
+    is recycled by resetting its counter state, which matches a freshly
+    keyed generator bit for bit.  Returns ``out``.
     """
-    out = np.empty((len(path_ids), grid.n_fine, dim))
-    scale = np.sqrt(grid.h)
+    if out.shape[:2] != (len(path_ids), grid.n_fine):
+        raise ValueError(f"increment buffer of shape {out.shape} does not hold "
+                         f"{len(path_ids)} paths of {grid.n_fine} steps")
     bit_gen = np.random.Philox(key=[0, 0])
     gen = np.random.Generator(bit_gen)
     template = bit_gen.state
@@ -150,24 +163,31 @@ def brownian_increments(grid: GridSpec, dim: int, seed: int,
         fresh["state"] = {"counter": np.zeros(4, dtype=np.uint64),
                           "key": np.array([seed, pid], dtype=np.uint64)}
         bit_gen.state = fresh
-        out[row] = gen.standard_normal((grid.n_fine, dim))
-    out *= scale
+        gen.standard_normal(out=out[row])
+    out *= np.sqrt(grid.h)
     return out
 
 
 def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
                    seed: int, path_offset: int = 0) -> PathBatch:
-    """Simulate ``batch_size`` paths with ids ``path_offset..path_offset+B-1``."""
+    """Simulate ``batch_size`` paths with ids ``path_offset..path_offset+B-1``.
+
+    The increments are drawn into the state buffer, summed per coarse
+    segment, and then overwritten by the Euler states.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     path_ids = np.arange(path_offset, path_offset + batch_size)
-    increments = brownian_increments(grid, model.dim, seed, path_ids)
-    states = _euler_states(model, grid.h, increments)
-    return PathBatch(states, increments, grid, seed, path_ids)
+    states = np.empty((batch_size, grid.n_fine + 1, model.dim))
+    increments = brownian_increments(grid, seed, path_ids, states[:, 1:])
+    coarse_increments = increments.reshape(
+        batch_size, grid.n_coarse, grid.fine_per_segment, model.dim).sum(axis=2)
+    _euler_states(model, grid.h, states)
+    return PathBatch(states, coarse_increments, grid, seed, path_ids)
 
 
 def coarsen(batch: PathBatch, grid: GridSpec | None = None):
-    """Snapshot states at coarse dates and aggregate increments per segment.
+    """Snapshot states at coarse dates; pair them with the segment increments.
 
     Returns ``(coarse_states, coarse_increments)`` of shapes
     ``(B, N+1, d)`` and ``(B, N, d)``.
@@ -175,11 +195,7 @@ def coarsen(batch: PathBatch, grid: GridSpec | None = None):
     grid = grid or batch.grid
     if grid.n_fine != batch.grid.n_fine or grid.horizon != batch.grid.horizon:
         raise GridError("grid does not match the batch's simulation grid")
-    m = grid.fine_per_segment
-    coarse_states = batch.states[:, ::m, :]
-    b, n, d = batch.brownian_fine.shape
-    coarse_increments = batch.brownian_fine.reshape(b, grid.n_coarse, m, d).sum(axis=2)
-    return coarse_states, coarse_increments
+    return batch.states[:, ::grid.fine_per_segment, :], batch.coarse_increments
 
 
 def running_integral(batch: PathBatch, weights) -> np.ndarray:

@@ -472,7 +472,8 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
                 adj = adj * masks[n]
             g_z[n] = sign * adj[:, None] * coarse_incs[:, n, :]
             adj = adj * step_factor
-        grads, feature_cots = net.mlp_backward(state.nets, cache, g_z)
+        grads, feature_cots = net.mlp_backward(state.nets, cache, g_z,
+                                               fcache is not None)
         _assign(state.grad.nets.parameters(), grads)
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)

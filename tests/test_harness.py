@@ -106,6 +106,12 @@ class TestRunExperiment:
         assert "rel_error" in report
         assert report["continuous_reference"] == table.summary["continuous_reference"]
 
+    def test_lookback_reference_is_discretely_monitored(self):
+        cfg = harness.load_config(overrides={"experiment": "lookback", "profile": "desk"})
+        refs = harness.reference_values(cfg)
+        assert abs(refs["reference"] - 5.705) < 1e-3
+        assert abs(refs["continuous_reference"] - 5.828175) < 5e-4
+
     def test_zero_isquared_iterations_still_emit(self, tmp_path):
         out = str(tmp_path / "zero")
         cfg = harness.load_config(overrides=tiny_quadratic_overrides(

@@ -68,7 +68,7 @@ class TestMlpBackward:
         params = net.init_mlp(spec, 2, zero_output=False)
         x = rng.standard_normal((3, 4))
         out, cache = net.mlp_forward(params, x)
-        grads, gx = net.mlp_backward(params, cache, np.zeros_like(out))
+        grads, gx = net.mlp_backward(params, cache, np.zeros_like(out), True)
         assert all(np.all(g == 0.0) for g in grads)
         assert np.all(gx == 0.0)
 
@@ -78,7 +78,7 @@ class TestMlpBackward:
         x = rng.standard_normal((6, 3))
         cot = rng.standard_normal((6, 2))
         out, cache = net.mlp_forward(params, x)
-        grads, gx = net.mlp_backward(params, cache, cot)
+        grads, gx = net.mlp_backward(params, cache, cot, True)
         np.testing.assert_allclose(grads[0], x.T @ cot, rtol=1e-12)
         np.testing.assert_allclose(grads[1], cot.sum(axis=0), rtol=1e-12)
         np.testing.assert_allclose(gx, cot @ params.weights[0].T, rtol=1e-12)
@@ -93,7 +93,7 @@ class TestMlpBackward:
             return float(np.sum(out * cot))
 
         _, cache = net.mlp_forward(params, x)
-        grads, gx = net.mlp_backward(params, cache, cot)
+        grads, gx = net.mlp_backward(params, cache, cot, True)
         flat = params.parameters()
         for arr, grad in zip(flat, grads):
             numeric = central_difference(lambda _: loss_at(flat), arr)
@@ -117,7 +117,7 @@ class TestMlpBackward:
         plain = net.MlpParams(spec, params.weights, params.biases)
         np.testing.assert_allclose(out, net.mlp_forward(plain, x * scale)[0],
                                    rtol=1e-12)
-        grads, gx = net.mlp_backward(params, cache, cot)
+        grads, gx = net.mlp_backward(params, cache, cot, True)
         assert len(grads) == len(params.parameters()) == 4
         np.testing.assert_allclose(gx, central_difference(loss_at, x),
                                    rtol=1e-6, atol=1e-8)
@@ -128,24 +128,39 @@ class TestMlpBackward:
         x = rng.standard_normal((6, 3))
         out, cache = net.mlp_forward(params, x)
         x_before, out_before = x.copy(), out.copy()
-        net.mlp_backward(params, cache, rng.standard_normal((6, 2)))
+        net.mlp_backward(params, cache, rng.standard_normal((6, 2)), True)
         assert np.array_equal(x, x_before) and np.array_equal(out, out_before)
 
     def test_cotangent_shape_checked(self, rng):
         params = net.init_mlp(net.MlpSpec(3, 2), 0)
         _, cache = net.mlp_forward(params, rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
-            net.mlp_backward(params, cache, np.zeros((2, 5)))
+            net.mlp_backward(params, cache, np.zeros((2, 5)), True)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_skipped_input_gradient_leaves_parameter_gradients_bitwise(self, rng, scaled):
+        spec = net.MlpSpec(4, 2, hidden=(6, 5))
+        scale = np.array([1.0, 0.5, 0.1, 3.0]) if scaled else None
+        nets = [net.init_mlp(spec, 30 + n, zero_output=False, input_scale=scale)
+                for n in range(3)]
+        stacked = net.stack_mlps(nets)
+        x = rng.standard_normal((3, 7, 4))
+        cot = rng.standard_normal((3, 7, 2))
+        grads, gx = net.mlp_backward(stacked, net.mlp_forward(stacked, x)[1], cot, True)
+        kept, none = net.mlp_backward(stacked, net.mlp_forward(stacked, x)[1], cot, False)
+        assert gx.shape == x.shape and none is None
+        for g, k in zip(grads, kept):
+            assert np.array_equal(g, k)
 
 
 def assert_stack_matches_separate_nets(nets, x, cot):
     """Stacked forward and backward equal each net's own, bit for bit."""
     stacked = net.stack_mlps(nets)
     out, cache = net.mlp_forward(stacked, x)
-    grads, gx = net.mlp_backward(stacked, cache, cot)
+    grads, gx = net.mlp_backward(stacked, cache, cot, True)
     for n, params in enumerate(nets):
         out_n, cache_n = net.mlp_forward(params, x[n])
-        grads_n, gx_n = net.mlp_backward(params, cache_n, cot[n])
+        grads_n, gx_n = net.mlp_backward(params, cache_n, cot[n], True)
         assert np.array_equal(out[n], out_n)
         assert np.array_equal(gx[n], gx_n)
         for g, g_n in zip(grads, grads_n):
@@ -188,7 +203,7 @@ class TestStackedMlp:
             return float(np.sum(out * cot))
 
         _, cache = net.mlp_forward(stacked, x)
-        grads, gx = net.mlp_backward(stacked, cache, cot)
+        grads, gx = net.mlp_backward(stacked, cache, cot, True)
         for arr, grad in zip(stacked.parameters(), grads):
             np.testing.assert_allclose(grad, central_difference(loss_at, arr),
                                        rtol=1e-5, atol=1e-6)
@@ -270,6 +285,32 @@ class TestEmbedding:
         out, _ = net.embed_stream(params, stream)
         np.testing.assert_allclose(out, (stream * scale) @ params.weight, rtol=1e-12)
         assert len(params.parameters()) == 1
+
+    def test_cache_is_the_stream_itself(self, rng):
+        params = net.init_embedding(3, 2, 0, input_scale=np.array([0.5, 2.0, 0.1]))
+        stream = rng.standard_normal((4, 6, 3))
+        _, cache = net.embed_stream(params, stream)
+        assert cache is stream
+
+    def test_gradient_with_input_scale_matches_central_differences(self, rng):
+        # embed -> time-augment -> signature, with a non-unit input scale
+        depth = 2
+        params = net.init_embedding(3, 2, 8, input_scale=np.array([0.5, 0.01, 3.0]))
+        stream = rng.uniform(-1.0, 1.0, size=(5, 3))
+        times = np.linspace(0.0, 1.0, 5)
+        cot = rng.standard_normal(sig_dim(3, depth))
+
+        def objective(_):
+            embedded, _ = net.embed_stream(params, stream)
+            nodes = np.concatenate([times[:, None], embedded], axis=1)
+            return float(cot @ path_signature(nodes, depth).flatten())
+
+        embedded, cache = net.embed_stream(params, stream)
+        nodes = np.concatenate([times[:, None], embedded], axis=1)
+        grads = net.embed_backward(params, cache,
+                                   signature_pullback(nodes, depth, cot)[:, 1:])
+        np.testing.assert_allclose(grads[0], central_difference(objective, params.weight),
+                                   rtol=1e-5, atol=1e-6)
 
     def test_channel_mismatch_rejected(self, rng):
         params = net.init_embedding(4, 2, 0)

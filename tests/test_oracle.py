@@ -45,6 +45,31 @@ class TestLookbackPrice:
             oracle.LookbackParams(10.0, 10.0, 0.0, 1.0, 1.0)
 
 
+class TestLookbackDiscretePrice:
+    def test_matches_same_grid_monte_carlo(self):
+        # on 25 steps the correction is -0.52, about 6.6 standard errors here
+        n_fine, paths = 25, 20_000
+        p = oracle.LookbackParams(10.0, 10.0, 0.01, 1.0, 1.0)
+        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0)
+        states = sde.simulate_batch(model, sde.GridSpec(1.0, n_fine, 1), paths,
+                                    seed=1).states[:, :, 0]
+        pay = math.exp(-0.01) * (states[:, -1] - states.min(axis=1))
+        se = pay.std(ddof=1) / math.sqrt(paths)
+        assert abs(pay.mean() - oracle.lookback_discrete_price(p, n_fine)) < 4.0 * se
+        assert abs(pay.mean() - oracle.lookback_price(p)) > 4.0 * se
+
+    def test_tends_to_closed_form_as_monitoring_refines(self):
+        p = oracle.LookbackParams(10.0, 10.0, 0.01, 1.0, 1.0)
+        gaps = [abs(oracle.lookback_discrete_price(p, n) - oracle.lookback_price(p))
+                for n in (10, 100, 1000, 10 ** 4, 10 ** 6)]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 3e-3
+
+    def test_monitoring_steps_must_be_positive(self):
+        p = oracle.LookbackParams(10.0, 10.0, 0.01, 1.0, 1.0)
+        with pytest.raises(oracle.OracleDomainError):
+            oracle.lookback_discrete_price(p, 0)
+
 class TestQuadraticSolution:
     def test_value_at_origin_is_dimension_thirds(self):
         assert abs(oracle.quadratic_pde_solution(0.0, np.zeros((1, 20)), 1.0)
@@ -57,7 +82,7 @@ class TestQuadraticSolution:
             prefix = rng.standard_normal((41, 3))
             batch_states = prefix[None, :, :]
             grid = sde.GridSpec(1.0, 40, 4)
-            pb = sde.PathBatch(batch_states, np.zeros((1, 40, 3)), grid, 0)
+            pb = sde.PathBatch(batch_states, np.zeros((1, 4, 3)), grid, 0)
             payoff = sde.running_integral(pb, np.ones(3))[0, -1] ** 2
             value = oracle.quadratic_pde_solution(1.0, prefix, 1.0)
             assert abs(value - payoff) < 1e-10 * max(1.0, payoff)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigfbsde import sde
 
@@ -9,8 +13,22 @@ def make_batch(states, horizon=1.0):
     states = np.asarray(states, dtype=float)
     b, n1, d = states.shape
     grid = sde.GridSpec(horizon, n1 - 1, 1)
-    return sde.PathBatch(states, np.zeros((b, n1 - 1, d)), grid, seed=0,
+    return sde.PathBatch(states, np.zeros((b, 1, d)), grid, seed=0,
                          path_ids=np.arange(b))
+
+
+def redrawn_increments(batch):
+    """The fine increments behind ``batch``, drawn again for its seed and path ids."""
+    b, n1, d = batch.states.shape
+    return sde.brownian_increments(batch.grid, batch.seed, batch.path_ids,
+                                   np.empty((b, n1 - 1, d)))
+
+
+def euler_from_increments(model, h, incs):
+    """States of the Euler recursion driven by ``incs`` of shape ``(B, n, d)``."""
+    states = np.empty((incs.shape[0], incs.shape[1] + 1, incs.shape[2]))
+    states[:, 1:] = incs
+    return sde._euler_states(model, h, states)
 
 
 class TestGridSpec:
@@ -56,17 +74,19 @@ class TestSimulate:
         model = sde.ModelSpec.arithmetic_unit(2.0, dim=2)
         grid = sde.GridSpec(1.0, 10, 5)
         batch = sde.simulate_batch(model, grid, 4, seed=3)
+        incs = redrawn_increments(batch)
         # rebuild with the same one-step recursion
         expect = np.empty_like(batch.states)
         expect[:, 0, :] = 2.0
         for i in range(grid.n_fine):
-            expect[:, i + 1, :] = expect[:, i, :] + batch.brownian_fine[:, i, :]
+            expect[:, i + 1, :] = expect[:, i, :] + incs[:, i, :]
         np.testing.assert_array_equal(batch.states, expect)
 
     def test_euler_recursion_reproduces_states_bitwise(self):
         model = sde.ModelSpec.geometric(10.0, 0.05, 0.2)
         grid = sde.GridSpec(1.0, 32, 8)
         batch = sde.simulate_batch(model, grid, 6, seed=11)
+        incs = redrawn_increments(batch)
         h = grid.h
         sig = np.asarray(model.sigma)
         expect = np.empty_like(batch.states)
@@ -74,7 +94,7 @@ class TestSimulate:
         for i in range(grid.n_fine):
             x = expect[:, i, :]
             expect[:, i + 1, :] = x + model.rate * x * h \
-                + sig * x * batch.brownian_fine[:, i, :]
+                + sig * x * incs[:, i, :]
         np.testing.assert_array_equal(batch.states, expect)
 
     def test_initial_state_is_x0(self):
@@ -88,7 +108,8 @@ class TestSimulate:
         big = sde.simulate_batch(model, grid, 8, seed=42)
         small = sde.simulate_batch(model, grid, 3, seed=42, path_offset=5)
         np.testing.assert_array_equal(big.states[5:8], small.states)
-        np.testing.assert_array_equal(big.brownian_fine[5:8], small.brownian_fine)
+        np.testing.assert_array_equal(redrawn_increments(big)[5:8],
+                                      redrawn_increments(small))
 
     def test_geometric_terminal_mean_matches_moment(self):
         # E[X_T] for the exact dynamics is x0 * exp(r T); the Euler drift
@@ -101,6 +122,50 @@ class TestSimulate:
         assert abs(terminal.mean() - 100.0 * np.exp(0.05)) < 3.0 * se
 
 
+class TestOneBuffer:
+    """The increments are drawn into the state buffer and stepped over in place."""
+
+    def test_peak_memory_is_one_state_buffer(self):
+        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0, dim=4)
+        grid = sde.GridSpec(1.0, 100, 5)
+        sde.simulate_batch(model, grid, 2, seed=1)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            batch = sde.simulate_batch(model, grid, 500, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * batch.states.nbytes + batch.coarse_increments.nbytes
+
+    @pytest.mark.parametrize("dim,n_fine,n_coarse", [(1, 400, 20), (3, 60, 12), (2, 8, 8)])
+    def test_coarse_increments_are_segment_sums_of_the_draws(self, dim, n_fine, n_coarse):
+        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0, dim=dim)
+        grid = sde.GridSpec(1.0, n_fine, n_coarse)
+        batch = sde.simulate_batch(model, grid, 9, seed=17, path_offset=4)
+        incs = redrawn_increments(batch)
+        sums = incs.reshape(9, n_coarse, grid.fine_per_segment, dim).sum(axis=2)
+        np.testing.assert_array_equal(batch.coarse_increments, sums)
+
+    @given(n_coarse=st.integers(1, 4), per_segment=st.integers(1, 5), dim=st.integers(1, 3),
+           start=st.integers(0, 4), count=st.integers(1, 4), after=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1), geometric=st.booleans())
+    def test_batch_slicing_is_bitwise(self, n_coarse, per_segment, dim, start, count, after,
+                                      seed, geometric):
+        model = (sde.ModelSpec.geometric(2.0, 0.05, 0.4, dim=dim) if geometric
+                 else sde.ModelSpec.arithmetic_unit(0.5, dim=dim))
+        grid = sde.GridSpec(1.0, n_coarse * per_segment, n_coarse)
+        full = sde.simulate_batch(model, grid, start + count + after, seed)
+        part = sde.simulate_batch(model, grid, count, seed, path_offset=start)
+        rows = slice(start, start + count)
+        np.testing.assert_array_equal(part.states, full.states[rows])
+        np.testing.assert_array_equal(part.coarse_increments, full.coarse_increments[rows])
+
+    def test_increment_buffer_shape_checked(self):
+        grid = sde.GridSpec(1.0, 8, 2)
+        with pytest.raises(ValueError):
+            sde.brownian_increments(grid, 0, np.arange(3), np.empty((3, 9, 1)))
+
+
 class TestCoarsen:
     def test_unit_segment_ratio_is_identity(self):
         model = sde.ModelSpec.arithmetic_unit(0.0)
@@ -108,7 +173,7 @@ class TestCoarsen:
         batch = sde.simulate_batch(model, grid, 2, seed=5)
         cs, cw = sde.coarsen(batch)
         np.testing.assert_array_equal(cs, batch.states)
-        np.testing.assert_array_equal(cw, batch.brownian_fine)
+        np.testing.assert_array_equal(cw, redrawn_increments(batch))
 
     def test_snapshot_indices(self):
         model = sde.ModelSpec.arithmetic_unit(0.0)
@@ -123,7 +188,7 @@ class TestCoarsen:
         batch = sde.simulate_batch(model, grid, 4, seed=9)
         _, cw = sde.coarsen(batch)
         np.testing.assert_allclose(cw.sum(axis=1),
-                                   batch.brownian_fine.sum(axis=1),
+                                   redrawn_increments(batch).sum(axis=1),
                                    rtol=1e-12, atol=1e-15)
 
     def test_mismatched_grid_rejected(self):
@@ -161,7 +226,7 @@ class TestRefinementProperties:
         for level in range(3):
             step = 4 // (2 ** level)  # 16, 32, 64 steps
             incs = fine_incs.reshape(3, 64 // step, step, 1).sum(axis=2)
-            states = sde._euler_states(model, 1.0 / incs.shape[1], incs)
+            states = euler_from_increments(model, 1.0 / incs.shape[1], incs)
             mins.append(states.min(axis=1))
         assert np.all(mins[1] <= mins[0] + 1e-12)
         assert np.all(mins[2] <= mins[1] + 1e-12)
@@ -177,6 +242,6 @@ class TestRefinementProperties:
         errors = []
         for step in (4, 2, 1):
             coarse = incs.reshape(paths, n_fine // step, step, 1).sum(axis=2)
-            states = sde._euler_states(model, step / n_fine, coarse)
+            states = euler_from_increments(model, step / n_fine, coarse)
             errors.append(np.mean((states[:, -1, 0] - exact) ** 2))
         assert errors[0] > errors[1] > errors[2]
