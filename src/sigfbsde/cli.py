@@ -121,11 +121,14 @@ def _selftest_checks():
         return np.array_equal(params[0], [1.0, -2.0])
 
     def simulation_reproducible():
-        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0)
-        grid = sde.GridSpec(1.0, 16, 4)
-        a = sde.simulate_batch(model, grid, 4, seed=9)
-        b = sde.simulate_batch(model, grid, 2, seed=9, path_offset=2)
-        return np.array_equal(a.states[2:], b.states)
+        # streams long enough that the whole batch is split over threads on
+        # a multi-core host, while its second half alone stays on one
+        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0, dim=32)
+        grid = sde.GridSpec(1.0, 32, 4)
+        a = sde.simulate_batch(model, grid, 128, seed=9)
+        b = sde.simulate_batch(model, grid, 64, seed=9, path_offset=64)
+        return (np.array_equal(a.states[64:], b.states)
+                and np.array_equal(a.coarse_increments[64:], b.coarse_increments))
 
     def lookback_formula():
         p = oracle.LookbackParams(10.0, 10.0, 0.01, 1.0, 1.0)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle, sde, solver
+from . import __version__, oracle, sde, solver
 
 PROFILES = ("desk", "paper")
 
@@ -353,6 +354,11 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     summary.update(refs)
     if refs["reference"] is not None and refs["reference"] != 0.0:
         summary["rel_error"] = (agg.mean - refs["reference"]) / refs["reference"]
+    # what the numbers depend on beyond the config; cores is the most
+    # threads a batch of long streams is drawn on
+    summary["provenance"] = {"cores": sde.thread_count(), "numpy": np.__version__,
+                             "python": platform.python_version(),
+                             "sigfbsde": __version__}
     table.summary = summary
 
     if doc["out"]:

@@ -8,10 +8,18 @@ One ``(B, n_fine+1, d)`` buffer per batch serves every fine-grid stage: the
 increments are drawn into its rows ``1..n_fine``, summed per coarse segment,
 and then stepped over in place by the Euler recursion, so the buffer ends up
 holding the states.  A batch keeps only the states and the coarse increments.
+
+Paths never interact, so a batch of long streams is split into contiguous
+row blocks, one per core, that threads draw, sum and step side by side:
+numpy releases the interpreter lock while it fills a stream and inside
+large ufuncs.  The threads are made per batch and call no public function
+of this module; every bit is the same whatever the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +34,14 @@ class ModelError(ValueError):
 
 
 MODEL_KINDS = ("geometric", "arithmetic-unit")
+
+# simulate_batch hands a block of paths to a thread only when the block
+# draws at least PARALLEL_MIN_NORMALS normals per path (``n_fine * d``) and
+# PARALLEL_MIN_STEP_NORMALS per fine step (``rows * d``).  Rekeying a path
+# and dispatching an Euler step hold the interpreter lock, so below either
+# cut a second thread slows the batch down instead of halving its draws.
+PARALLEL_MIN_NORMALS = 1024
+PARALLEL_MIN_STEP_NORMALS = 2048
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,27 @@ def _euler_states(model: ModelSpec, h: float, states: np.ndarray) -> np.ndarray:
     return states
 
 
+def _draw(grid: GridSpec, seed: int, path_ids: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """Fill ``out[row]`` with path ``path_ids[row]``'s N(0, h) increments.
+
+    One bit generator is rekeyed per path by writing the id into the key of
+    one state dict; the counter stays zero, so every path matches a freshly
+    keyed ``Philox(key=[seed, path_id])`` bit for bit.
+    """
+    bit_gen = np.random.Philox(key=[0, 0])
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    key = state["state"]["key"]
+    key[0] = seed
+    for row, pid in enumerate(path_ids):
+        key[1] = pid
+        bit_gen.state = state
+        gen.standard_normal(out=out[row])
+    out *= np.sqrt(grid.h)
+    return out
+
+
 def brownian_increments(grid: GridSpec, seed: int, path_ids: np.ndarray,
                         out: np.ndarray) -> np.ndarray:
     """Draw N(0, h) increments into ``out`` from one Philox stream per path id.
@@ -148,24 +185,39 @@ def brownian_increments(grid: GridSpec, seed: int, path_ids: np.ndarray,
     ``out`` has shape ``(len(path_ids), n_fine, d)``, and each ``out[row]``
     must be C-contiguous (rows ``1..n_fine`` of a state buffer are).  The
     stream key is ``(seed, path_id)``, so a path's increments are
-    bit-identical however the batch is sliced or ordered.  One bit generator
-    is recycled by resetting its counter state, which matches a freshly
-    keyed generator bit for bit.  Returns ``out``.
+    bit-identical however the batch is sliced or ordered, and equal to the
+    ones :func:`simulate_batch` draws for it.  Returns ``out``.
     """
     if out.shape[:2] != (len(path_ids), grid.n_fine):
         raise ValueError(f"increment buffer of shape {out.shape} does not hold "
                          f"{len(path_ids)} paths of {grid.n_fine} steps")
-    bit_gen = np.random.Philox(key=[0, 0])
-    gen = np.random.Generator(bit_gen)
-    template = bit_gen.state
-    for row, pid in enumerate(path_ids):
-        fresh = dict(template)
-        fresh["state"] = {"counter": np.zeros(4, dtype=np.uint64),
-                          "key": np.array([seed, pid], dtype=np.uint64)}
-        bit_gen.state = fresh
-        gen.standard_normal(out=out[row])
-    out *= np.sqrt(grid.h)
-    return out
+    return _draw(grid, seed, path_ids, out)
+
+
+def thread_count() -> int:
+    """Cores this process may run on: the most threads a batch is split over."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_blocks(batch_size: int, n_fine: int, dim: int) -> list:
+    """Contiguous ``(start, stop)`` row blocks, one per thread, of near-equal size."""
+    blocks = 1
+    if n_fine * dim >= PARALLEL_MIN_NORMALS:
+        blocks = max(1, min(thread_count(), batch_size,
+                            batch_size * dim // PARALLEL_MIN_STEP_NORMALS))
+    cuts = [batch_size * k // blocks for k in range(blocks + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _simulate_rows(model: ModelSpec, grid: GridSpec, seed: int, path_ids: np.ndarray,
+                   states: np.ndarray, coarse_increments: np.ndarray):
+    """Draw, sum per segment and step one contiguous block of paths in place."""
+    _draw(grid, seed, path_ids, states[:, 1:])
+    np.sum(states[:, 1:].reshape(len(path_ids), grid.n_coarse, grid.fine_per_segment,
+                                 model.dim), axis=2, out=coarse_increments)
+    _euler_states(model, grid.h, states)
 
 
 def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
@@ -173,16 +225,28 @@ def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
     """Simulate ``batch_size`` paths with ids ``path_offset..path_offset+B-1``.
 
     The increments are drawn into the state buffer, summed per coarse
-    segment, and then overwritten by the Euler states.
+    segment, and then overwritten by the Euler states.  A batch of long
+    streams is split into contiguous row blocks that threads simulate side
+    by side (see :data:`PARALLEL_MIN_NORMALS`); every path's bits are the
+    same either way.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     path_ids = np.arange(path_offset, path_offset + batch_size)
     states = np.empty((batch_size, grid.n_fine + 1, model.dim))
-    increments = brownian_increments(grid, seed, path_ids, states[:, 1:])
-    coarse_increments = increments.reshape(
-        batch_size, grid.n_coarse, grid.fine_per_segment, model.dim).sum(axis=2)
-    _euler_states(model, grid.h, states)
+    coarse_increments = np.empty((batch_size, grid.n_coarse, model.dim))
+    blocks = _row_blocks(batch_size, grid.n_fine, model.dim)
+    if len(blocks) == 1:
+        _simulate_rows(model, grid, seed, path_ids, states, coarse_increments)
+    else:
+        # a pool per call: a module-level one would reach the harness's
+        # forked worker processes with its threads dead
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            futures = [pool.submit(_simulate_rows, model, grid, seed, path_ids[a:b],
+                                   states[a:b], coarse_increments[a:b])
+                       for a, b in blocks]
+            for future in futures:
+                future.result()
     return PathBatch(states, coarse_increments, grid, seed, path_ids)
 
 

@@ -1,9 +1,11 @@
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
 
+import sigfbsde
 from sigfbsde import cli, harness, sde, solver
 
 
@@ -157,6 +159,28 @@ class TestRunExperiment:
             with open(os.path.join(d1, name), "rb") as fa, \
                  open(os.path.join(d2, name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_report_records_provenance(self, tmp_path):
+        out = tmp_path / "provenance"
+        cfg = harness.load_config(overrides=tiny_quadratic_overrides(out=str(out), runs=1))
+        harness.run_experiment(cfg)
+        report = json.loads((out / "report.json").read_text())
+        assert report["provenance"] == {
+            "cores": sde.thread_count(), "numpy": np.__version__,
+            "python": platform.python_version(), "sigfbsde": sigfbsde.__version__}
+
+    def test_worker_processes_match_one_process_on_threaded_draws(self, monkeypatch):
+        # streams above the thread cut; the one-process run leaves the
+        # parent having drawn on threads before the pool forks its workers
+        monkeypatch.setattr(sde, "thread_count", lambda: 2)
+        doc = {"experiment": "quadratic", "profile": "desk", "d": 20, "n_fine": 100,
+               "n_coarse": 5, "batch": 256, "iterations": 2, "runs": 2, "seed": 7}
+        assert len(sde._row_blocks(doc["batch"], doc["n_fine"], doc["d"])) == 2
+        one = harness.run_experiment(harness.load_config(overrides=dict(doc, workers=1)))
+        two = harness.run_experiment(harness.load_config(overrides=dict(doc, workers=2)))
+        for a, b in zip(one.reports, two.reports, strict=True):
+            np.testing.assert_array_equal(a.losses, b.losses)
+            np.testing.assert_array_equal(a.estimates, b.estimates)
 
     def test_amerasian_summary_includes_bound(self):
         cfg = harness.load_config(overrides={

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,6 +166,68 @@ class TestOneBuffer:
         grid = sde.GridSpec(1.0, 8, 2)
         with pytest.raises(ValueError):
             sde.brownian_increments(grid, 0, np.arange(3), np.empty((3, 9, 1)))
+
+
+class TestThreadedBlocks:
+    """A batch of long streams is split over threads without changing a bit.
+
+    ``thread_count`` is pinned to 3, so the split is exercised on any host,
+    with uneven blocks and with fewer paths than threads.  At ``d >= 2048``
+    every stream and every block's fine step is above the cut.  A short
+    switch interval makes the threads interleave as often as they can.
+    """
+
+    @given(batch=st.integers(1, 7), offset=st.integers(0, 2 ** 40),
+           dim=st.integers(2048, 2100), n_coarse=st.integers(1, 3),
+           per_segment=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           geometric=st.booleans())
+    def test_threaded_batch_matches_its_row_slices(self, batch, offset, dim, n_coarse,
+                                                   per_segment, seed, geometric):
+        model = (sde.ModelSpec.geometric(2.0, 0.05, 0.4, dim=dim) if geometric
+                 else sde.ModelSpec.arithmetic_unit(0.5, dim=dim))
+        grid = sde.GridSpec(1.0, n_coarse * per_segment, n_coarse)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(sde, "thread_count", lambda: 3):
+                assert len(sde._row_blocks(batch, grid.n_fine, dim)) == min(3, batch)
+                full = sde.simulate_batch(model, grid, batch, seed, path_offset=offset)
+        finally:
+            sys.setswitchinterval(interval)
+        for row in range(batch):
+            alone = sde.simulate_batch(model, grid, 1, seed, path_offset=offset + row)
+            np.testing.assert_array_equal(full.states[row], alone.states[0])
+            np.testing.assert_array_equal(full.coarse_increments[row],
+                                          alone.coarse_increments[0])
+
+    def test_peak_memory_is_one_state_buffer_when_threaded(self):
+        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0, dim=16)
+        grid = sde.GridSpec(1.0, 128, 4)
+        with mock.patch.object(sde, "thread_count", lambda: 2):
+            assert len(sde._row_blocks(512, grid.n_fine, model.dim)) == 2
+            sde.simulate_batch(model, grid, 512, seed=1)  # warm up the pool's imports
+            tracemalloc.start()
+            try:
+                batch = sde.simulate_batch(model, grid, 512, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.1 * batch.states.nbytes + batch.coarse_increments.nbytes
+
+    @pytest.mark.parametrize("batch,n_fine,dim,blocks", [
+        (100, 400, 1, 1),       # lookback: short streams
+        (1000, 200, 1, 1),      # amerasian: short streams
+        (100, 2000, 1, 1),      # long streams, but each step too thin to share
+        (1000, 100, 20, 2),
+        (1000, 100, 100, 2),
+        (1, 1, 8192, 1),        # fewer paths than threads
+    ])
+    def test_split_needs_long_streams_and_wide_steps(self, batch, n_fine, dim, blocks):
+        with mock.patch.object(sde, "thread_count", lambda: 2):
+            cuts = sde._row_blocks(batch, n_fine, dim)
+        assert len(cuts) == blocks
+        assert cuts[0][0] == 0 and cuts[-1][1] == batch
+        assert all(a == b for (_, a), (b, _) in zip(cuts, cuts[1:]))
 
 
 class TestCoarsen:

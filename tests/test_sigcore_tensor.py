@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sigfbsde.sigcore import (DomainError, ShapeMismatchError,
                               TruncatedTensorSeries, segment_signature,
@@ -267,3 +267,59 @@ class TestBlockKernels:
         cot = [np.ones(2 ** k) for k in range(1, 5)]
         with pytest.raises(ValueError, match="depth 4"):
             engine.block_signatures_vjp(inc, 4, cot)
+
+
+_series = st.tuples(
+    st.integers(1, 4),                                  # channels
+    st.integers(1, 4),                                  # depth
+    st.lists(st.integers(1, 2), min_size=0, max_size=2).map(tuple),  # batch axes
+    st.integers(0, 2 ** 32 - 1))                        # coefficient seed
+
+
+def random_levels(rng, batch, channels, depth, scale=0.5):
+    return [scale * rng.standard_normal(batch + (channels ** k,))
+            for k in range(1, depth + 1)]
+
+
+class TestAlgebraProperties:
+    """Chen's identity, exp/log inversion and the log VJP over random shapes."""
+
+    @given(_series, st.integers(1, 6), st.integers(1, 6))
+    def test_chen_identity_joins_block_signatures(self, shape, first, second):
+        d, depth, batch, seed = shape
+        inc = np.random.default_rng(seed).standard_normal(batch + (first + second, d))
+        joined = engine.block_signatures(inc, depth)
+        chained = engine.product(engine.block_signatures(inc[..., :first, :], depth),
+                                 engine.block_signatures(inc[..., first:, :], depth))
+        for c, j in zip(chained, joined):
+            np.testing.assert_allclose(c, j, rtol=1e-12, atol=1e-13)
+
+    @given(_series)
+    def test_exp_and_log_invert_each_other(self, shape):
+        d, depth, batch, seed = shape
+        rng = np.random.default_rng(seed)
+        lie = random_levels(rng, batch, d, depth)
+        for back, want in zip(engine.log_of_group(engine.exp_of_lie(lie)), lie):
+            np.testing.assert_allclose(back, want, rtol=1e-12, atol=1e-12)
+        group = engine.exp_of_lie(random_levels(rng, batch, d, depth))
+        for back, want in zip(engine.exp_of_lie(engine.log_of_group(group)), group):
+            np.testing.assert_allclose(back, want, rtol=1e-12, atol=1e-12)
+
+    # one central difference per coefficient: fewer examples keep its time
+    # near that of the other property tests
+    @settings(max_examples=20)
+    @given(_series)
+    def test_log_of_group_vjp_matches_central_differences(self, shape):
+        d, depth, batch, seed = shape
+        rng = np.random.default_rng(seed)
+        s = random_levels(rng, batch, d, depth)
+        cot = [rng.standard_normal(lvl.shape) for lvl in s]
+
+        def objective(_):
+            return float(sum(np.sum(c * lvl)
+                             for c, lvl in zip(cot, engine.log_of_group(s))))
+
+        grads = engine.log_of_group_vjp(s, cot)
+        for level, grad in zip(s, grads):
+            np.testing.assert_allclose(grad, central_difference(objective, level),
+                                       rtol=1e-6, atol=1e-6)
