@@ -130,6 +130,28 @@ def _selftest_checks():
         return (np.array_equal(a.states[64:], b.states)
                 and np.array_equal(a.coarse_increments[64:], b.coarse_increments))
 
+    def stack_split_reproducible():
+        # enough rows that the stack is split over threads on a multi-core
+        # host, while each date alone, a stack of one, stays on one block
+        nets = [net.init_mlp(net.MlpSpec(3, 2, hidden=(8, 8)), n, zero_output=False,
+                             input_scale=np.array([1.0, 0.5, 0.1])) for n in range(4)]
+        x = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 3))
+        cot = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 2))
+
+        def run(params, x, cot):
+            out, cache = net.mlp_forward(params, x)
+            out = out.copy()   # the backward pass spends the cache
+            return [out, *net.mlp_backward(params, cache, cot, True)]
+
+        split = run(net.stack_mlps(nets), x, cot)
+        for n in range(4):
+            alone = run(net.stack_mlps(nets[n:n + 1]), x[n:n + 1], cot[n:n + 1])
+            for whole, part in zip([split[0], *split[1], split[2]],
+                                   [alone[0], *alone[1], alone[2]]):
+                if whole[n:n + 1].tobytes() != part.tobytes():
+                    return False
+        return True
+
     def lookback_formula():
         p = oracle.LookbackParams(10.0, 10.0, 0.01, 1.0, 1.0)
         return abs(oracle.lookback_price(p) - 5.828175) < 5e-4
@@ -143,6 +165,7 @@ def _selftest_checks():
         ("lyndon expand/exp roundtrip", lyndon_roundtrip),
         ("adam zero-gradient fixpoint", adam_zero_grad),
         ("per-path stream reproducibility", simulation_reproducible),
+        ("stacked MLP date-split reproducibility", stack_split_reproducible),
         ("lookback closed form", lookback_formula),
     ]
 

@@ -4,15 +4,35 @@ Reverse mode is hand-rolled for the one fixed composite this library needs;
 each forward call returns the cache its backward companion consumes.  One
 MLP code path serves a single net and a stack of nets on a leading axis; its
 cache holds post-activations only, and its backward pass spends them.
+
+Net ``n`` of a stack only reads date ``n``, so a large stack runs on
+contiguous blocks of its dates, one per core, side by side: numpy releases
+the interpreter lock inside the products.  The calling thread allocates
+every cache layer and gradient, and each thread fills its own dates with
+the same calls on the same data, so every bit is the same whatever the
+thread count.  The threads are made per call and call no public function
+of this package.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sde
+
 ACTIVATIONS = ("relu", "identity")
+
+# A stack is split into contiguous blocks of dates, one per core, but into no
+# more blocks than it holds PARALLEL_MIN_ROWS rows (dates times paths): below
+# that, starting a thread and passing the interpreter lock back and forth
+# cost more than the products a thread takes over.
+PARALLEL_MIN_ROWS = 2048
+# The backward pass masks a stack's relu layers a few dates at a time, at most
+# MASK_ROWS rows (or one date), so that no thread holds a large mask.
+MASK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -87,27 +107,83 @@ def stack_mlps(nets: list) -> MlpParams:
                      nets[0].input_scale)
 
 
+def _date_blocks(params: MlpParams, x: np.ndarray) -> list:
+    """Contiguous blocks of a stack's dates, one per thread and per
+    :data:`PARALLEL_MIN_ROWS` rows; a single net is one block."""
+    if not params.stack:
+        return [(None, None)]
+    n_dates, rows = x.shape[:2]
+    return sde._blocks(n_dates, min(sde.thread_count(), n_dates * rows // PARALLEL_MIN_ROWS))
+
+
+def _forward_dates(params: MlpParams, x: np.ndarray, post: list, a, b):
+    """Fill dates ``a:b`` of every cache layer (all of them for a single net)."""
+    d = slice(a, b)
+    if params.input_scale is not None:
+        np.multiply(x[d], params.input_scale, out=post[0][d])
+    last = len(params.weights) - 1
+    for l, (w, bias) in enumerate(zip(params.weights, params.biases)):
+        h = np.matmul(post[l][d], w[d], out=post[l + 1][d])
+        h += bias[d]
+        if l != last and params.spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Affine/activation chain; returns ``(output, cache)``.
 
     A single net takes ``x`` with arbitrary leading batch axes over the
     input width; a stack of ``N`` nets takes ``(N, B, in_dim)`` and applies
     net ``n`` to ``x[n]``, after multiplying by ``params.input_scale`` (when
-    set).  The cache holds post-activations only; relu runs in place.
+    set).  The cache holds post-activations only; relu runs in place.  A
+    stack runs on contiguous blocks of its dates side by side.
     """
     spec, stack = params.spec, params.stack
     if x.shape[-1] != spec.in_dim or stack and (x.ndim != 3 or x.shape[:1] != stack):
         raise ValueError(f"input shape {x.shape} does not fit in_dim {spec.in_dim}, stack {stack}")
-    h = x if params.input_scale is None else x * params.input_scale
-    post = [h]
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
-        h += b
-        if l != last and spec.activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        post.append(h)
-    return h, post
+    # the scaled input keeps the memory layout of x, as x * input_scale does:
+    # a strided dot product's last bit can depend on it
+    post = [x if params.input_scale is None else np.empty_like(x, dtype=float)]
+    post += [np.empty(x.shape[:-1] + (w,)) for w in spec.widths[1:]]
+    sde._run_blocks(functools.partial(_forward_dates, params, x, post),
+                    _date_blocks(params, x))
+    return post[-1], post
+
+
+def _backward_dates(params: MlpParams, post: list, cotangent: np.ndarray, grads: list,
+                    input_grad: np.ndarray | None, a, b):
+    """Spend dates ``a:b`` of the cache (all of it for a single net); fill
+    their parameter gradients and, unless it is ``None``, input gradient."""
+    d = slice(a, b)
+    k = len(params.stack)
+    g = cotangent[d]
+    for l in range(len(params.weights) - 1, -1, -1):
+        flat_in = post[l][d].reshape(g.shape[:k] + (-1, post[l].shape[-1]))
+        flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
+        np.matmul(flat_in.swapaxes(-1, -2), flat_g, out=grads[2 * l][d])
+        np.sum(flat_g, axis=-2, out=grads[2 * l + 1][d].reshape(g.shape[:k] + g.shape[-1:]))
+        w_t = params.weights[l][d].swapaxes(-1, -2)
+        if not l:
+            if input_grad is not None:
+                g = np.matmul(g, w_t, out=input_grad[d])
+                if params.input_scale is not None:
+                    g *= params.input_scale
+            return
+        # post[l] is spent and takes the cotangent; the relu mask post > 0
+        # (equal to pre > 0) is taken over at most MASK_ROWS rows at a time
+        out = post[l][d]
+        if params.spec.activation != "relu":
+            g = np.matmul(g, w_t, out=out)
+            continue
+        parts = [...]
+        if k:
+            step = max(1, MASK_ROWS // max(1, out.shape[1]))
+            parts = [slice(n, n + step) for n in range(0, len(out), step)]
+        for part in parts:
+            mask = out[part] > 0.0
+            np.matmul(g[part], w_t[part], out=out[part])
+            out[part] *= mask
+        g = out
 
 
 def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
@@ -118,30 +194,19 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
     over the batch axes of the cotangent, per net of a stack.  ``input_grad``
     is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`;
     it is ``None`` unless ``need_input_grad``, which skips the layer-0
-    product.  The relu mask ``post > 0`` equals ``pre > 0``.  The pass spends
-    the cache.
+    product.  The pass spends the cache.  A stack runs on contiguous blocks
+    of its dates side by side.
     """
     post = cache
     if cotangent.shape != post[-1].shape:
         raise ValueError(
             f"cotangent shape {cotangent.shape} does not match output {post[-1].shape}")
-    k = len(params.stack)
-    grads: list = [None] * (2 * len(params.weights))
-    g = cotangent
-    for l in range(len(params.weights) - 1, -1, -1):
-        flat_in = post[l].reshape(post[l].shape[:k] + (-1, post[l].shape[-1]))
-        flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
-        grads[2 * l] = flat_in.swapaxes(-1, -2) @ flat_g
-        grads[2 * l + 1] = flat_g.sum(axis=-2).reshape(params.biases[l].shape)
-        if not (l or need_input_grad):
-            return grads, None
-        # post[l > 0] is spent once masked and takes the cotangent; post[0] may be x
-        mask = post[l] > 0.0 if l and params.spec.activation == "relu" else True
-        g = np.matmul(g, params.weights[l].swapaxes(-1, -2), out=post[l] if l else None)
-        g *= mask
-    if params.input_scale is not None:
-        g = g * params.input_scale
-    return grads, g
+    grads = [np.empty(p.shape) for p in params.parameters()]
+    input_grad = np.empty(post[0].shape) if need_input_grad else None
+    sde._run_blocks(functools.partial(_backward_dates, params, post, cotangent, grads,
+                                      input_grad),
+                    _date_blocks(params, cotangent))
+    return grads, input_grad
 
 
 @dataclass

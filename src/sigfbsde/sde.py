@@ -201,14 +201,39 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def _blocks(size: int, parts: int) -> list:
+    """Contiguous ``(start, stop)`` blocks of ``range(size)`` of near-equal
+    size: ``parts`` of them, but no more than ``size`` and at least one."""
+    parts = max(1, min(parts, size))
+    cuts = [size * k // parts for k in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _run_blocks(work, blocks: list):
+    """Call ``work(start, stop)`` for every block, one thread per block.
+
+    The calling thread runs the first block; the others go to threads of a
+    pool made for this call, since a module-level one would reach the
+    harness's forked worker processes with its threads dead.  A worker's
+    error is raised here.  ``work`` calls no public function of the package,
+    so every traced call stays on the calling thread.
+    """
+    if len(blocks) == 1:
+        work(*blocks[0])
+        return
+    with ThreadPoolExecutor(max_workers=len(blocks) - 1) as pool:
+        futures = [pool.submit(work, a, b) for a, b in blocks[1:]]
+        work(*blocks[0])
+        for future in futures:
+            future.result()
+
+
 def _row_blocks(batch_size: int, n_fine: int, dim: int) -> list:
     """Contiguous ``(start, stop)`` row blocks, one per thread, of near-equal size."""
     blocks = 1
     if n_fine * dim >= PARALLEL_MIN_NORMALS:
-        blocks = max(1, min(thread_count(), batch_size,
-                            batch_size * dim // PARALLEL_MIN_STEP_NORMALS))
-    cuts = [batch_size * k // blocks for k in range(blocks + 1)]
-    return list(zip(cuts, cuts[1:]))
+        blocks = min(thread_count(), batch_size * dim // PARALLEL_MIN_STEP_NORMALS)
+    return _blocks(batch_size, blocks)
 
 
 def _simulate_rows(model: ModelSpec, grid: GridSpec, seed: int, path_ids: np.ndarray,
@@ -235,18 +260,11 @@ def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
     path_ids = np.arange(path_offset, path_offset + batch_size)
     states = np.empty((batch_size, grid.n_fine + 1, model.dim))
     coarse_increments = np.empty((batch_size, grid.n_coarse, model.dim))
-    blocks = _row_blocks(batch_size, grid.n_fine, model.dim)
-    if len(blocks) == 1:
-        _simulate_rows(model, grid, seed, path_ids, states, coarse_increments)
-    else:
-        # a pool per call: a module-level one would reach the harness's
-        # forked worker processes with its threads dead
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_simulate_rows, model, grid, seed, path_ids[a:b],
-                                   states[a:b], coarse_increments[a:b])
-                       for a, b in blocks]
-            for future in futures:
-                future.result()
+
+    def rows(a, b):
+        _simulate_rows(model, grid, seed, path_ids[a:b], states[a:b], coarse_increments[a:b])
+
+    _run_blocks(rows, _row_blocks(batch_size, grid.n_fine, model.dim))
     return PathBatch(states, coarse_increments, grid, seed, path_ids)
 
 

@@ -466,7 +466,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     if update:
         adj = 2.0 * resid / spec.batch_size
         step_factor = 1.0 - sign * spec.driver.dy() * spec.grid.dt
-        g_z = np.empty_like(cache[-1])
+        g_z = np.empty((spec.grid.n_coarse, spec.batch_size, spec.model.dim))
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]

@@ -1,8 +1,12 @@
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sigfbsde import net
+from sigfbsde import net, sde
 from sigfbsde.sigcore import path_signature, sig_dim, signature_pullback, time_augment
 from conftest import central_difference
 
@@ -178,6 +182,14 @@ class TestStackedMlp:
         assert_stack_matches_separate_nets(
             nets, rng.standard_normal((4, 7, 5)), rng.standard_normal((4, 7, 2)))
 
+    def test_relu_masks_in_chunks_of_dates(self, rng):
+        # two dates per mask chunk, the last chunk holding one
+        rows = net.MASK_ROWS // 2 - 1
+        nets = [net.init_mlp(net.MlpSpec(3, 2, hidden=(6, 5)), n, zero_output=False)
+                for n in range(5)]
+        assert_stack_matches_separate_nets(
+            nets, rng.standard_normal((5, rows, 3)), rng.standard_normal((5, rows, 2)))
+
     def test_stack_layout(self):
         spec = net.MlpSpec(3, 2, hidden=(4,))
         stacked = net.stack_mlps([net.init_mlp(spec, n) for n in range(5)])
@@ -220,6 +232,98 @@ class TestStackedMlp:
         assert_stack_matches_separate_nets(
             nets, rng.standard_normal((n_nets, batch, spec.in_dim)),
             rng.standard_normal((n_nets, batch, spec.out_dim)))
+
+
+def stack_run(stacked, x, cot, need_input_grad, threads):
+    """Stacked forward and backward with ``thread_count`` pinned to ``threads``."""
+    with mock.patch.object(sde, "thread_count", lambda: threads):
+        out, cache = net.mlp_forward(stacked, x)
+        out = out.copy()   # the backward pass spends the cache, output included
+        grads, gx = net.mlp_backward(stacked, cache, cot, need_input_grad)
+    return out, grads, gx
+
+
+class TestDateBlocks:
+    """A stack of enough rows (dates times paths) runs on date blocks over
+    threads without changing a bit.
+
+    ``thread_count`` is pinned to 3, so blocks are uneven and there can be
+    more threads than dates.  A short switch interval makes the threads
+    interleave as often as they can.
+    """
+
+    @given(n_dates=st.integers(1, 7), extra_rows=st.integers(0, 3),
+           widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           activation=st.sampled_from(net.ACTIVATIONS), scaled=st.booleans(),
+           need_input_grad=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_split_stack_is_bit_equal_to_one_block(self, n_dates, extra_rows, widths,
+                                                   activation, scaled, need_input_grad,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        spec = net.MlpSpec(widths[0], widths[-1], hidden=tuple(widths[1:-1]),
+                           activation=activation)
+        scale = rng.uniform(0.1, 2.0, spec.in_dim) if scaled else None
+        stacked = net.stack_mlps([net.init_mlp(spec, seed + n, zero_output=False,
+                                               input_scale=scale)
+                                  for n in range(n_dates)])
+        rows = 3 * net.PARALLEL_MIN_ROWS // n_dates + 1 + extra_rows   # three blocks' worth
+        # the solver's features are a strided view, date-major over path-major data
+        x = np.moveaxis(rng.standard_normal((rows, n_dates + 1, spec.in_dim))[:, :n_dates],
+                        0, 1)
+        cot = rng.standard_normal((n_dates, rows, spec.out_dim))
+        with mock.patch.object(sde, "thread_count", lambda: 3):
+            assert len(net._date_blocks(stacked, x)) == min(3, n_dates)
+        one = stack_run(stacked, x, cot, need_input_grad, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = stack_run(stacked, x, cot, need_input_grad, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one[0].tobytes() == split[0].tobytes()
+        for g_one, g_split in zip(one[1], split[1]):
+            assert g_one.shape == g_split.shape and g_one.tobytes() == g_split.tobytes()
+        if need_input_grad:
+            assert one[2].tobytes() == split[2].tobytes()
+        else:
+            assert one[2] is None and split[2] is None
+
+    @pytest.mark.parametrize("n_dates,rows,threads,blocks", [
+        (20, 100, 2, 1),    # lookback: thin dates
+        (5, 1000, 2, 2),    # embedded quadratic
+        (20, 1000, 2, 2),   # amerasian
+        (1, 10 ** 5, 2, 1),
+        (2, 4096, 3, 2),    # more threads than dates
+        (3, 2048, 3, 3),
+        (3, 2047, 3, 2),
+    ])
+    def test_one_block_per_min_rows(self, n_dates, rows, threads, blocks):
+        stacked = net.stack_mlps([net.init_mlp(net.MlpSpec(3, 1), n) for n in range(n_dates)])
+        with mock.patch.object(sde, "thread_count", lambda: threads):
+            cuts = net._date_blocks(stacked, np.empty((n_dates, rows, 3)))
+        assert len(cuts) == blocks and cuts[0][0] == 0 and cuts[-1][1] == n_dates
+        assert all(a == b for (_, a), (b, _) in zip(cuts, cuts[1:]))
+
+    def test_split_peak_memory_matches_one_block(self, rng):
+        spec = net.MlpSpec(8, 2)
+        stacked = net.stack_mlps([net.init_mlp(spec, n, zero_output=False,
+                                               input_scale=np.full(8, 0.5))
+                                  for n in range(6)])
+        rows = net.PARALLEL_MIN_ROWS // 3 + 1   # two blocks of three dates
+        x = rng.standard_normal((6, rows, 8))
+        cot = rng.standard_normal((6, rows, 2))
+        with mock.patch.object(sde, "thread_count", lambda: 2):
+            assert len(net._date_blocks(stacked, x)) == 2
+        stack_run(stacked, x, cot, True, 2)   # warm up the pool's imports
+        peaks = {}
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                stack_run(stacked, x, cot, True, threads)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.1 * peaks[1]
 
 
 class TestAdam:

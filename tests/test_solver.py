@@ -1,8 +1,14 @@
+import contextlib
+import functools
+import inspect
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from sigfbsde import net, oracle, sde, solver
-from sigfbsde.sigcore import log_signature, path_signature, time_augment
+from sigfbsde.sigcore import engine, log_signature, lyndon, path_signature, time_augment
 from conftest import central_difference
 
 
@@ -338,6 +344,47 @@ class TestTrain:
         a = solver.train(spec)
         b = solver.train(spec)
         assert a.estimates == b.estimates and a.losses == b.losses
+
+
+class TestThreads:
+    def test_public_functions_run_on_the_main_thread(self):
+        """Worker threads call private helpers only, so a tracer that wraps
+        every public function (as perfbench's does) sees one thread."""
+        spec = solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.5, dim=8),
+            grid=sde.GridSpec(1.0, 128, 8), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2, embed_dim=2,
+            batch_size=net.PARALLEL_MIN_ROWS // 4, iterations=1, seed=0)
+        calls, off_main = [], set()
+
+        def recorded(name, fn, log):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                log(name, threading.current_thread() is threading.main_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with contextlib.ExitStack() as patches:
+            for module in (sde, net, engine, lyndon, solver):
+                for attr, fn in vars(module).copy().items():
+                    if attr.startswith("_") or not inspect.isfunction(fn) \
+                            or fn.__module__ != module.__name__:
+                        continue
+                    if fn is sde.thread_count:
+                        fn = lambda: 2   # pinned: the batch and the stack split in two
+                    patches.enter_context(mock.patch.object(module, attr, recorded(
+                        attr, fn, lambda name, main: calls.append((name, main)))))
+            for module, attr in [(sde, "_simulate_rows"), (net, "_forward_dates"),
+                                 (net, "_backward_dates")]:
+                patches.enter_context(mock.patch.object(module, attr, recorded(
+                    attr, getattr(module, attr), lambda name, main: main or off_main.add(name))))
+            state = solver.init_state(spec)
+            solver.train_step(state, spec, 7)
+        names = {name for name, _ in calls}
+        assert {"simulate_batch", "thread_count", "mlp_forward", "mlp_backward",
+                "checkpoint_scan", "features_backward"} <= names
+        assert off_main == {"_simulate_rows", "_forward_dates", "_backward_dates"}
+        assert [name for name, main in calls if not main] == []
 
 
 class TestAggregate:
