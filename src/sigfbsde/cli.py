@@ -130,6 +130,18 @@ def _selftest_checks():
         return (np.array_equal(a.states[64:], b.states)
                 and np.array_equal(a.coarse_increments[64:], b.coarse_increments))
 
+    def exact_geometric_step():
+        # an asset at sigma = 0 compounds as x0 e^{rt}; every log-increment
+        # is sigma dW + (r - sigma^2 / 2) h of the path's redrawn draws
+        grid, sig = sde.GridSpec(1.0, 40, 4), np.array([0.0, 0.3, 1.0])
+        model = sde.ModelSpec.geometric((10.0, 10.0, 2.0), 0.05, sig)
+        batch = sde.simulate_batch(model, grid, 4, seed=3, path_offset=7)
+        dw = sde.brownian_increments(grid, 3, batch.path_ids, np.empty((4, 40, 3)))
+        growth = 10.0 * np.exp(0.05 * grid.h * np.arange(41))
+        return (np.allclose(batch.states[..., 0], growth, rtol=1e-12, atol=0)
+                and np.allclose(np.diff(np.log(batch.states), axis=1),
+                                sig * dw + (0.05 - 0.5 * sig ** 2) * grid.h, rtol=0, atol=1e-12))
+
     def stack_split_reproducible():
         # enough rows that the stack is split over threads on a multi-core
         # host, while each date alone, a stack of one, stays on one block
@@ -165,6 +177,7 @@ def _selftest_checks():
         ("lyndon expand/exp roundtrip", lyndon_roundtrip),
         ("adam zero-gradient fixpoint", adam_zero_grad),
         ("per-path stream reproducibility", simulation_reproducible),
+        ("exact geometric step", exact_geometric_step),
         ("stacked MLP date-split reproducibility", stack_split_reproducible),
         ("lookback closed form", lookback_formula),
     ]

@@ -355,10 +355,12 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     if refs["reference"] is not None and refs["reference"] != 0.0:
         summary["rel_error"] = (agg.mean - refs["reference"]) / refs["reference"]
     # what the numbers depend on beyond the config; cores is the most
-    # threads a batch of long streams is drawn on
+    # threads a batch of long streams is drawn on, and the BLAS thread
+    # settings (None where unset) can move the last bits of training
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     summary["provenance"] = {"cores": sde.thread_count(), "numpy": np.__version__,
-                             "python": platform.python_version(),
-                             "sigfbsde": __version__}
+                             "python": platform.python_version(), "sigfbsde": __version__,
+                             **{name: os.environ.get(name) for name in blas}}
     table.summary = summary
 
     if doc["out"]:

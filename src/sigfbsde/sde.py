@@ -6,8 +6,9 @@ matter the batch size or the order paths are generated in.
 
 One ``(B, n_fine+1, d)`` buffer per batch serves every fine-grid stage: the
 increments are drawn into its rows ``1..n_fine``, summed per coarse segment,
-and then stepped over in place by the Euler recursion, so the buffer ends up
-holding the states.  A batch keeps only the states and the coarse increments.
+and then turned into states in place (geometric paths by the exact
+log-normal step), so the buffer ends up holding the states.  A batch keeps
+only the states and the coarse increments.
 
 Paths never interact, so a batch of long streams is split into contiguous
 row blocks, one per core, that threads draw, sum and step side by side:
@@ -38,15 +39,16 @@ MODEL_KINDS = ("geometric", "arithmetic-unit")
 # simulate_batch hands a block of paths to a thread only when the block
 # draws at least PARALLEL_MIN_NORMALS normals per path (``n_fine * d``) and
 # PARALLEL_MIN_STEP_NORMALS per fine step (``rows * d``).  Rekeying a path
-# and dispatching an Euler step hold the interpreter lock, so below either
-# cut a second thread slows the batch down instead of halving its draws.
+# and dispatching a step of the unit-diffusion loop hold the interpreter
+# lock, so below either cut a second thread slows the batch down instead of
+# halving its draws.  The geometric step is whole-block ufuncs; the cuts stay.
 PARALLEL_MIN_NORMALS = 1024
 PARALLEL_MIN_STEP_NORMALS = 2048
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Dual simulation grid: ``n_fine`` Euler steps, ``n_coarse`` segments."""
+    """Dual simulation grid: ``n_fine`` fine steps, ``n_coarse`` segments."""
 
     horizon: float
     n_fine: int
@@ -136,24 +138,26 @@ class PathBatch:
         return self.states.shape[0]
 
 
-def _euler_states(model: ModelSpec, h: float, states: np.ndarray) -> np.ndarray:
-    """Run the explicit Euler recursion in place over a block of paths.
+def _step_states(model: ModelSpec, h: float, states: np.ndarray) -> np.ndarray:
+    """Turn the increments in rows ``1..n`` of ``states`` into states, in place.
 
-    Rows ``1..n`` of ``states`` hold the increments on entry and the states
-    on exit; row 0 is set to ``x0``.  Step ``i`` reads ``x_i`` from row ``i``
-    and the increment from row ``i+1``, and writes ``x_{i+1}`` over it.
+    Geometric paths take the exact log-normal step
+    ``X_i = x0·exp(σ·W_i + (r − σ²/2)·t_i)`` over the whole contiguous block:
+    a cumulative sum from a zeroed row 0, ``× σ``, the drift, ``exp``, ``× x0``.
+    Unit-diffusion paths add each increment to the state before it.
     """
-    n = states.shape[1] - 1
-    states[:, 0, :] = np.asarray(model.x0, dtype=float)
     if model.kind == "arithmetic-unit":
-        for i in range(n):
+        states[:, 0, :] = model.x0
+        for i in range(states.shape[1] - 1):
             states[:, i + 1, :] += states[:, i, :]
-    else:
-        r = model.rate
-        sig = np.asarray(model.sigma, dtype=float)
-        for i in range(n):
-            x = states[:, i, :]
-            states[:, i + 1, :] = x + r * x * h + sig * x * states[:, i + 1, :]
+        return states
+    sig = np.asarray(model.sigma, dtype=float)
+    states[:, 0, :] = 0.0
+    np.cumsum(states, axis=1, out=states)
+    states *= sig
+    states += (h * np.arange(states.shape[1]))[:, None] * (model.rate - 0.5 * sig * sig)
+    np.exp(states, out=states)
+    states *= model.x0
     return states
 
 
@@ -242,7 +246,7 @@ def _simulate_rows(model: ModelSpec, grid: GridSpec, seed: int, path_ids: np.nda
     _draw(grid, seed, path_ids, states[:, 1:])
     np.sum(states[:, 1:].reshape(len(path_ids), grid.n_coarse, grid.fine_per_segment,
                                  model.dim), axis=2, out=coarse_increments)
-    _euler_states(model, grid.h, states)
+    _step_states(model, grid.h, states)
 
 
 def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
@@ -250,7 +254,7 @@ def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
     """Simulate ``batch_size`` paths with ids ``path_offset..path_offset+B-1``.
 
     The increments are drawn into the state buffer, summed per coarse
-    segment, and then overwritten by the Euler states.  A batch of long
+    segment, and then overwritten by the states.  A batch of long
     streams is split into contiguous row blocks that threads simulate side
     by side (see :data:`PARALLEL_MIN_NORMALS`); every path's bits are the
     same either way.

@@ -131,44 +131,57 @@ def block_signatures(increments: np.ndarray, depth: int) -> Levels:
     """Signature levels of piecewise-linear blocks, contracted over steps.
 
     ``increments`` has shape ``(..., M, d)``; the result is the signature of
-    the whole ``M``-step block.  Depths up to 3 are closed-form sums over
-    the step axis, each a batched matmul that contracts the ``M`` steps;
-    deeper truncations fall back to the sequential scan.  With ``x_s`` the
-    increment of step ``s``:
-
-    * level 2 is ``matmul(midᵀ, x)``, where ``mid_s`` is the level-1 prefix
-      up to the middle of step ``s`` (the cumulative sum less ``x_s/2``);
-    * level 3 is ``matmul(aᵀ, x)`` over the flattened level-2 rows
-      ``a_s = S2_s - step2_s/2 - x_s⊗x_s/12``, where ``step2_s = mid_s⊗x_s``
-      is the level-2 gain of step ``s`` and ``S2_s`` its cumulative sum
-      (whose last row is level 2).  Expanding ``a_s⊗x_s`` gives the exact
-      level-3 gain ``S2_{s-1}⊗x_s + S1_{s-1}⊗x_s⊗x_s/2 + x_s^{⊗3}/6``.
+    the whole ``M``-step block: the one-checkpoint case of
+    :func:`checkpoint_scan`, bit for bit.
     """
+    return [lvl[..., 0, :] for lvl in _prefixes(increments, increments.shape[-2], depth)]
+
+
+def _prefixes(increments: np.ndarray, every: int, depth: int) -> Levels:
+    """Signatures of the prefixes ending at every ``every``-th step, each
+    level with a checkpoint axis ``-2``.
+
+    Depths up to 3 take cumulative sums over the whole path, contract them
+    per block of ``every`` steps with one batched matmul and sum over
+    blocks.  With ``x_s`` the increment of step ``s``, ``S1``/``S2`` the
+    level-1/level-2 cumulative sums and ``mid_s = S1_s - x_s/2``, level 2
+    sums ``mid_s⊗x_s`` and level 3 sums ``a_s⊗x_s`` over the flattened rows
+    ``a_s = S2_s - mid_s⊗x_s/2 - x_s⊗x_s/12``, which expands to the exact
+    gain ``S2_{s-1}⊗x_s + S1_{s-1}⊗x_s⊗x_s/2 + x_s^{⊗3}/6``.  Deeper
+    truncations sample the sequential Chen scan at the checkpoints.
+    """
+    *batch, n, d = increments.shape
     if depth > 3:
-        return signature_scan(increments, depth)
+        levels, out = identity_levels(tuple(batch), d, depth), []
+        for s, step in enumerate(_step_major(increments), 1):
+            levels = chen_step(levels, step)
+            if s % every == 0:
+                out.append(levels)
+        return [np.stack([p[k] for p in out], axis=-2) for k in range(depth)]
+    blocks = tuple(batch) + (n // every, every)
+
+    def contract(a):  # sum_s a_s⊗x_s per block, flattened, summed over blocks
+        out = np.matmul(np.swapaxes(a.reshape(blocks + a.shape[-1:]), -1, -2),
+                        increments.reshape(blocks + (d,)))
+        return np.cumsum(out.reshape(out.shape[:-2] + (-1,)), axis=-2)
+
     cum = np.cumsum(increments, axis=-2)
-    lvl1 = cum[..., -1, :].copy()
+    lvl1 = cum[..., every - 1::every, :].copy()
     if depth == 1:
         return [lvl1]
     mid = cum
     mid -= 0.5 * increments
     if depth == 2:
-        return [lvl1, _contract_steps(mid, increments)]
+        return [lvl1, contract(mid)]
     step2 = _outer(mid, increments)
     a = np.cumsum(step2, axis=-2)
-    lvl2 = a[..., -1, :].copy()
+    lvl2 = a[..., every - 1::every, :].copy()
     step2 *= 0.5
     a -= step2
     sq = _outer(increments, increments)
     sq /= 12.0
     a -= sq
-    return [lvl1, lvl2, _contract_steps(a, increments)]
-
-
-def _contract_steps(a: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """``sum_s a_s ⊗ x_s`` over the step axis ``-2``, flattened."""
-    out = np.matmul(np.swapaxes(a, -1, -2), increments)
-    return out.reshape(out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
+    return [lvl1, lvl2, contract(a)]
 
 
 def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -> Levels:
@@ -177,26 +190,14 @@ def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -
     ``increments`` has shape ``(..., n, d)`` with ``n = N * fine_per_segment``.
     Returns levels with an extra axis: entry ``k-1`` has shape
     ``(..., N+1, d**k)``; slot ``n`` holds the signature of fine steps
-    ``0..n*fine_per_segment`` (slot 0 is the identity, i.e. zeros).
-
-    Each fine segment enters exactly one block signature, and blocks are
-    chained by ``N`` truncated products, so no overlapping work is redone.
+    ``0..n*fine_per_segment`` (slot 0 is the identity, i.e. zeros).  All
+    prefixes come from one pass over the whole path, with no product chain.
     """
-    *batch, n, d = increments.shape
-    batch = tuple(batch)
+    n = increments.shape[-2]
     if fine_per_segment <= 0 or n % fine_per_segment != 0:
         raise ValueError(f"fine step count {n} is not a multiple of {fine_per_segment}")
-    n_seg = n // fine_per_segment
-    block_levels = block_signatures(
-        increments.reshape(batch + (n_seg, fine_per_segment, d)), depth)
-
-    out = [np.zeros(batch + (n_seg + 1, d ** k)) for k in range(1, depth + 1)]
-    running = identity_levels(batch, d, depth)
-    for seg in range(1, n_seg + 1):
-        running = product(running, [lvl[..., seg - 1, :] for lvl in block_levels])
-        for k in range(depth):
-            out[k][..., seg, :] = running[k]
-    return out
+    return [np.concatenate([np.zeros_like(lvl[..., :1, :]), lvl], axis=-2)
+            for lvl in _prefixes(increments, fine_per_segment, depth)]
 
 
 def log_of_group(s: Levels) -> Levels:
@@ -331,8 +332,9 @@ def checkpoint_scan_vjp(increments: np.ndarray, fine_per_segment: int,
 
     ``prefixes`` is the scan's output and ``cot`` a cotangent of the same
     shapes, one entry per checkpoint slot (slot 0, the identity, is inert).
-    The scan's ``N`` products are walked back with :func:`product_vjp`, then
-    one :func:`block_signatures_vjp` runs over all blocks.
+    The prefixes equal the chain ``prefix_n = prefix_{n-1} ⊗ block_n``, which
+    is walked back with :func:`product_vjp` (the VJP of the same function as
+    the one-pass scan), then one :func:`block_signatures_vjp` runs over all blocks.
     """
     d, depth = increments.shape[-1], len(prefixes)
     blocks = increments.reshape(increments.shape[:-2] + (-1, fine_per_segment, d))

@@ -160,14 +160,19 @@ class TestRunExperiment:
                  open(os.path.join(d2, name), "rb") as fb:
                 assert fa.read() == fb.read()
 
-    def test_report_records_provenance(self, tmp_path):
+    def test_report_records_provenance(self, tmp_path, monkeypatch):
+        # the BLAS thread settings as the process saw them, null where unset
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "provenance"
         cfg = harness.load_config(overrides=tiny_quadratic_overrides(out=str(out), runs=1))
         harness.run_experiment(cfg)
         report = json.loads((out / "report.json").read_text())
         assert report["provenance"] == {
             "cores": sde.thread_count(), "numpy": np.__version__,
-            "python": platform.python_version(), "sigfbsde": sigfbsde.__version__}
+            "python": platform.python_version(), "sigfbsde": sigfbsde.__version__,
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
     def test_worker_processes_match_one_process_on_threaded_draws(self, monkeypatch):
         # streams above the thread cut; the one-process run leaves the

@@ -26,11 +26,11 @@ def redrawn_increments(batch):
                                    np.empty((b, n1 - 1, d)))
 
 
-def euler_from_increments(model, h, incs):
-    """States of the Euler recursion driven by ``incs`` of shape ``(B, n, d)``."""
+def states_from_increments(model, h, incs):
+    """States driven by ``incs`` of shape ``(B, n, d)``."""
     states = np.empty((incs.shape[0], incs.shape[1] + 1, incs.shape[2]))
     states[:, 1:] = incs
-    return sde._euler_states(model, h, states)
+    return sde._step_states(model, h, states)
 
 
 class TestGridSpec:
@@ -84,20 +84,28 @@ class TestSimulate:
             expect[:, i + 1, :] = expect[:, i, :] + incs[:, i, :]
         np.testing.assert_array_equal(batch.states, expect)
 
-    def test_euler_recursion_reproduces_states_bitwise(self):
-        model = sde.ModelSpec.geometric(10.0, 0.05, 0.2)
+    def test_exact_step_reproduces_states_bitwise(self):
+        # X_i = x0 * exp(sigma * W_i + (r - sigma^2 / 2) * t_i), in the
+        # simulator's order: W, times sigma, plus drift, exp, times x0
+        model = sde.ModelSpec.geometric((10.0, 4.0), 0.05, (0.2, 0.7))
         grid = sde.GridSpec(1.0, 32, 8)
         batch = sde.simulate_batch(model, grid, 6, seed=11)
         incs = redrawn_increments(batch)
-        h = grid.h
-        sig = np.asarray(model.sigma)
-        expect = np.empty_like(batch.states)
-        expect[:, 0, :] = 10.0
-        for i in range(grid.n_fine):
-            x = expect[:, i, :]
-            expect[:, i + 1, :] = x + model.rate * x * h \
-                + sig * x * incs[:, i, :]
+        sig, x0 = np.asarray(model.sigma), np.asarray(model.x0)
+        w = np.zeros_like(batch.states)
+        w[:, 1:] = np.cumsum(incs, axis=1)
+        t = grid.h * np.arange(grid.n_fine + 1)
+        expect = np.exp(w * sig + t[:, None] * (model.rate - 0.5 * sig * sig)) * x0
         np.testing.assert_array_equal(batch.states, expect)
+
+    def test_zero_volatility_compounds_continuously(self):
+        model = sde.ModelSpec.geometric((10.0, 3.0), 0.05, 0.0, dim=2)
+        grid = sde.GridSpec(2.0, 40, 8)
+        batch = sde.simulate_batch(model, grid, 3, seed=4)
+        t = grid.h * np.arange(grid.n_fine + 1)
+        expect = np.asarray(model.x0) * np.exp(0.05 * t)[:, None]
+        np.testing.assert_allclose(batch.states, np.broadcast_to(expect, batch.states.shape),
+                                   rtol=1e-15, atol=0.0)
 
     def test_initial_state_is_x0(self):
         model = sde.ModelSpec.geometric(3.0, 0.01, 0.5, dim=2)
@@ -114,8 +122,7 @@ class TestSimulate:
                                       redrawn_increments(small))
 
     def test_geometric_terminal_mean_matches_moment(self):
-        # E[X_T] for the exact dynamics is x0 * exp(r T); the Euler drift
-        # compounds to x0 * (1 + r h)^n, well inside three standard errors
+        # E[X_T] for the exact dynamics is x0 * exp(r T)
         model = sde.ModelSpec.geometric(100.0, 0.05, 0.15)
         grid = sde.GridSpec(1.0, 50, 10)
         batch = sde.simulate_batch(model, grid, 100_000, seed=7)
@@ -290,22 +297,20 @@ class TestRefinementProperties:
         for level in range(3):
             step = 4 // (2 ** level)  # 16, 32, 64 steps
             incs = fine_incs.reshape(3, 64 // step, step, 1).sum(axis=2)
-            states = euler_from_increments(model, 1.0 / incs.shape[1], incs)
+            states = states_from_increments(model, 1.0 / incs.shape[1], incs)
             mins.append(states.min(axis=1))
         assert np.all(mins[1] <= mins[0] + 1e-12)
         assert np.all(mins[2] <= mins[1] + 1e-12)
 
-    def test_strong_error_decreases_on_common_noise(self, rng):
-        # mean-square endpoint error against the exact solution driven by
-        # the same Brownian increments, geometric model
-        model = sde.ModelSpec.geometric(1.0, 0.05, 0.4)
+    def test_endpoint_is_exact_at_every_refinement(self, rng):
+        # the geometric step is exact: on common noise every refinement ends
+        # at the solution driven by the same Brownian path
+        model = sde.ModelSpec.geometric(1.5, 0.05, 0.4)
         n_fine, paths = 256, 4000
         incs = rng.standard_normal((paths, n_fine, 1)) * np.sqrt(1.0 / n_fine)
         w_total = incs.sum(axis=(1, 2))
-        exact = np.exp((0.05 - 0.5 * 0.4 ** 2) + 0.4 * w_total)
-        errors = []
+        exact = 1.5 * np.exp((0.05 - 0.5 * 0.4 ** 2) + 0.4 * w_total)
         for step in (4, 2, 1):
             coarse = incs.reshape(paths, n_fine // step, step, 1).sum(axis=2)
-            states = euler_from_increments(model, step / n_fine, coarse)
-            errors.append(np.mean((states[:, -1, 0] - exact) ** 2))
-        assert errors[0] > errors[1] > errors[2]
+            states = states_from_increments(model, step / n_fine, coarse)
+            np.testing.assert_allclose(states[:, -1, 0], exact, rtol=1e-12)

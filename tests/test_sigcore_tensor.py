@@ -8,6 +8,7 @@ from sigfbsde.sigcore import (DomainError, ShapeMismatchError,
                               TruncatedTensorSeries, segment_signature,
                               sig_dim, truncated_exp, truncated_log,
                               truncated_product)
+from sigfbsde import sde
 from sigfbsde.sigcore import engine
 from conftest import central_difference
 
@@ -227,6 +228,39 @@ class TestBlockKernels:
         got = engine.checkpoint_scan(inc, m, depth)
         for seg in range(n_seg + 1):
             want = engine.signature_scan(inc[..., :seg * m, :], depth)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g[..., seg, :], w, rtol=1e-12, atol=1e-13)
+
+    def test_checkpoint_scan_matches_long_double_scan_at_desk_lookback_shape(self):
+        # 100 paths of 400 steps in 20 blocks, time plus a GBM path from 10,
+        # depth 3, against a long-double Chen scan sampled at every
+        # checkpoint.  Level-3 words with time letters are small differences
+        # of terms up to the level's largest entry, so the relative
+        # tolerance is taken against that entry, per path and checkpoint.
+        model = sde.ModelSpec.geometric(10.0, 0.01, 1.0)
+        grid = sde.GridSpec(1.0, 400, 20)
+        batch = sde.simulate_batch(model, grid, 100, seed=13)
+        times = np.broadcast_to(grid.h * np.arange(grid.n_fine + 1)[:, None], (100, 401, 1))
+        inc = np.diff(np.concatenate([times, batch.states], axis=-1), axis=-2)
+        got = engine.checkpoint_scan(inc, grid.fine_per_segment, 3)
+        levels = engine.identity_levels((100,), 2, 3)
+        for step in range(grid.n_fine):
+            levels = engine.chen_step(levels, inc[:, step].astype(np.longdouble))
+            if (step + 1) % grid.fine_per_segment == 0:
+                for g, w in zip(got, levels):
+                    err = np.abs(g[:, (step + 1) // grid.fine_per_segment] - w)
+                    size = np.max(np.abs(w), axis=-1, keepdims=True)
+                    assert np.all(err <= 1e-13 + 1e-12 * size)
+
+    @pytest.mark.parametrize("d, m, n_seg, batch", [(1, 3, 4, ()), (2, 2, 3, (2,)),
+                                                    (3, 4, 2, (2, 1))])
+    def test_depth_four_checkpoint_scan_matches_scan_on_every_prefix(self, rng, d, m,
+                                                                     n_seg, batch):
+        inc = rng.standard_normal(batch + (n_seg * m, d))
+        got = engine.checkpoint_scan(inc, m, 4)
+        assert [g.shape for g in got] == [batch + (n_seg + 1, d ** k) for k in range(1, 5)]
+        for seg in range(n_seg + 1):
+            want = engine.signature_scan(inc[..., :seg * m, :], 4)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g[..., seg, :], w, rtol=1e-12, atol=1e-13)
 

@@ -122,10 +122,13 @@ class TestFeatures:
         times = np.arange(grid.n_fine + 1) * grid.h
         for n in (1, 4, 9):
             for j in (0, 3):
-                prefix = time_augment(times[:n * grid.fine_per_segment + 1],
-                                      batch.states[j, :n * grid.fine_per_segment + 1])
-                scratch = path_signature(prefix, spec.depth).flatten()
-                np.testing.assert_allclose(features[n, j], scratch,
+                # a long-double Chen scan, so the reference's own rounding
+                # stays well below the tolerance
+                end = n * grid.fine_per_segment + 1
+                prefix = np.stack([times[:end], batch.states[j, :end, 0]], axis=-1)
+                scratch = engine.signature_scan(
+                    np.diff(prefix.astype(np.longdouble), axis=0), spec.depth)
+                np.testing.assert_allclose(features[n, j], engine.flatten_levels(scratch),
                                            rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("make_spec, feature, depth", [
