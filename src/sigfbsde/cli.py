@@ -164,6 +164,28 @@ def _selftest_checks():
                     return False
         return True
 
+    def chunked_features():
+        # an embedded batch of three chunks against the same batch as one
+        spec = solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.5, dim=4),
+            grid=sde.GridSpec(1.0, 12, 3), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=3,
+            feature="log-signature", embed_dim=2, batch_size=8, seed=4)
+        state = solver.init_state(spec)
+        batch = sde.simulate_batch(spec.model, spec.grid, 8, seed=6)
+        cot = rng.standard_normal((3, 8, spec.feature_width))
+        runs, default = [], solver.FEATURE_CHUNK_PATHS
+        try:
+            for chunk in (3, 8):
+                solver.FEATURE_CHUNK_PATHS = chunk
+                features, cache = solver.features_for_batch(state, batch, spec)
+                grad = solver.features_backward(state, spec, cache, cot)[0]
+                runs.append((len(cache.chunks), features.tobytes(), grad.tobytes()))
+        finally:
+            solver.FEATURE_CHUNK_PATHS = default
+        (parts, *split), (one, *whole) = runs
+        return parts == 3 and one == 1 and split == whole
+
     def lookback_formula():
         p = oracle.LookbackParams(10.0, 10.0, 0.01, 1.0, 1.0)
         return abs(oracle.lookback_price(p) - 5.828175) < 5e-4
@@ -179,6 +201,7 @@ def _selftest_checks():
         ("per-path stream reproducibility", simulation_reproducible),
         ("exact geometric step", exact_geometric_step),
         ("stacked MLP date-split reproducibility", stack_split_reproducible),
+        ("chunked feature pipeline", chunked_features),
         ("lookback closed form", lookback_formula),
     ]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 from collections.abc import Callable
@@ -47,6 +48,7 @@ CONFIG_KEYS = {
     "workers": (int, False),
     "reference_paths": (int, False),
 }
+_FLOAT_KEYS = tuple(key for key, (typ, _) in CONFIG_KEYS.items() if typ is float)
 
 
 @dataclass(frozen=True)
@@ -257,6 +259,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             problems.append(f"{key}={resolved[key]} must be positive")
     if resolved["iterations"] < 0:
         problems.append(f"iterations={resolved['iterations']} must be nonnegative")
+    for key in _FLOAT_KEYS:
+        if resolved[key] is not None and not math.isfinite(resolved[key]):
+            problems.append(f"{key}={resolved[key]} must be finite")
+    if math.isfinite(resolved["lr"]) and resolved["lr"] <= 0:
+        problems.append(f"lr={resolved['lr']} must be positive")
     if not problems and resolved["n_fine"] % resolved["n_coarse"] != 0:
         problems.append(
             f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")

@@ -284,11 +284,16 @@ def embed_stream(params: EmbeddingParams, stream: np.ndarray):
 
 
 def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray) -> list:
-    """Reverse of :func:`embed_stream`; returns the parameter gradients ``[dW]``."""
+    """Reverse of :func:`embed_stream`; returns the parameter gradients ``[dW]``.
+
+    ``dW`` is one product over every node of the batch, taken as
+    ``(flat_gᵀ flat_in)ᵀ``: the same sums as ``flat_inᵀ flat_g``, and faster
+    for a long stream and a narrow embedding.
+    """
     stream = cache
     flat_in = stream.reshape(-1, stream.shape[-1])
     flat_g = cotangent.reshape(-1, cotangent.shape[-1])
-    grad = flat_in.T @ flat_g
+    grad = (flat_g.T @ flat_in).T
     if params.input_scale is not None:
         grad *= params.input_scale[:, None]
     return [grad]

@@ -1,10 +1,11 @@
 """Training procedures for path-dependent FBSDEs on signature features.
 
 Three schemes share one feature pipeline (simulate, optionally embed,
-time-augment, checkpoint-scan prefix signatures at the coarse dates) and one
-training step, :func:`train_step`, which reads the scheme from
-``spec.method`` as data: a sign, the order of the coarse dates, the start
-value and, for ``reflected`` only, an exercise floor.  The per-date
+time-augment, checkpoint-scan prefix signatures at the coarse dates, over
+bounded chunks of the batch's paths) and one training step,
+:func:`train_step`, which reads the scheme from ``spec.method`` as data: a
+sign, the order of the coarse dates, the start value and, for
+``reflected`` only, an exercise floor.  The per-date
 approximators are one stacked MLP, run once per step over all dates.
 
 * ``forward``  — a trainable initial value is propagated to maturity and
@@ -30,6 +31,10 @@ METHODS = ("forward", "backward", "reflected")
 FEATURE_KINDS = ("signature", "log-signature")
 PILOT_PATHS = 4096     # Monte Carlo paths behind the forward scheme's start value
 TAIL_FRACTION = 0.25   # trailing share of iterations averaged into the final estimate
+# The per-path feature stages run over chunks of at most this many paths, so
+# that their temporaries are chunk-sized, not batch-sized; placed from a sweep
+# of peak memory on the embedded d=100 desk batch (CHANGES.md).
+FEATURE_CHUNK_PATHS = 125
 
 
 class SolverAbort(RuntimeError):
@@ -280,11 +285,16 @@ def init_state(spec: ExperimentSpec) -> TrainState:
 
 @dataclass
 class FeatureCache:
-    """Intermediates kept for the reverse pass through the embedding."""
+    """Intermediates kept for the reverse pass through the embedding.
 
-    stream_cache: np.ndarray
-    increments: np.ndarray
-    prefixes: list   # checkpoint_scan levels, one slot per coarse date 0..N
+    ``stream`` is the unembedded batch (the cache of :func:`net.embed_stream`
+    over the whole batch).  ``chunks`` holds, per chunk of paths, its rows,
+    the increments of its time-augmented embedded stream and its
+    ``checkpoint_scan`` levels, one slot per coarse date 0..N.
+    """
+
+    stream: np.ndarray
+    chunks: list   # (rows, increments, prefixes) per chunk of paths
 
 
 def feature_scale(model: sde.ModelSpec) -> np.ndarray:
@@ -331,54 +341,71 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     a fixed input scale of the approximators (the stacked nets, or the
     embedding when there is one).  Returns ``(features, cache)`` where
     ``cache`` is ``None`` unless an embedding is being trained.
+
+    Paths never mix, so the per-path stages (embedding, time augmentation,
+    checkpoint scan, logarithm and Lyndon projection) run over contiguous
+    chunks of near-equal size and at most :data:`FEATURE_CHUNK_PATHS` paths,
+    one after another, each writing its rows of the features: the
+    temporaries are chunk-sized and every bit is the same as for the whole
+    batch at once.
     """
-    grid = batch.grid
-    values = batch.states
-    cache = None
-    if state.embedding is not None:
-        values, stream_cache = net.embed_stream(state.embedding, values)
+    grid, size = batch.grid, batch.batch_size
+    d_hat, width = spec.stream_channels, spec.feature_width
     times = np.arange(grid.n_fine + 1) * grid.h
-    nodes = np.concatenate(
-        [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values],
-        axis=-1)
-    increments = np.diff(nodes, axis=-2)
-    d_hat = spec.stream_channels
-    if increments.shape[-1] != d_hat:
-        raise SpecError(
-            f"stream has {increments.shape[-1]} channels, expected {d_hat}")
+    features = np.empty((grid.n_coarse, size, width))
+    chunks = []
+    for start, stop in sde._blocks(size, -(-size // FEATURE_CHUNK_PATHS)):
+        rows = slice(start, stop)
+        values = batch.states[rows]
+        if state.embedding is not None:
+            values, _ = net.embed_stream(state.embedding, values)
+        nodes = np.concatenate(
+            [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values],
+            axis=-1)
+        increments = np.diff(nodes, axis=-2)
+        if increments.shape[-1] != d_hat:
+            raise SpecError(
+                f"stream has {increments.shape[-1]} channels, expected {d_hat}")
 
-    stacked = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
-    if state.embedding is not None:
-        cache = FeatureCache(stream_cache, increments, stacked)
+        stacked = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
+        if state.embedding is not None:
+            chunks.append((rows, increments, stacked))
 
-    if spec.feature == "signature":
-        flat = engine.flatten_levels(stacked)
-    else:
-        log_levels = engine.log_of_group(stacked)
-        flat = lyndon.project(log_levels, d_hat, spec.depth)
-    features = np.moveaxis(flat[:, :grid.n_coarse, :], 0, 1)
-    if features.shape[-1] != spec.feature_width:
-        raise SpecError(
-            f"feature width {features.shape[-1]} != expected {spec.feature_width}")
+        if spec.feature == "signature":
+            flat = engine.flatten_levels(stacked)
+        else:
+            log_levels = engine.log_of_group(stacked)
+            flat = lyndon.project(log_levels, d_hat, spec.depth)
+        if flat.shape[-1] != width:
+            raise SpecError(f"feature width {flat.shape[-1]} != expected {width}")
+        features[:, rows] = np.moveaxis(flat[:, :grid.n_coarse, :], 0, 1)
+    cache = FeatureCache(batch.states, chunks) if state.embedding is not None else None
     return features, cache
 
 
 def features_backward(state: TrainState, spec: ExperimentSpec,
                       cache: FeatureCache, feature_cots: np.ndarray):
-    """Pull the feature cotangents of all dates back to embedding gradients."""
+    """Pull the feature cotangents of all dates back to embedding gradients.
+
+    The reverse pass runs chunk by chunk over the cache, writing each
+    chunk's node gradients into one ``(B, n+1, embed_dim)`` buffer; the
+    embedding gradient is then one product over the whole batch.
+    """
     d_hat = spec.stream_channels
-    n_seg, batch_size, width = feature_cots.shape
-    cot = np.zeros((batch_size, n_seg + 1, width))
-    cot[:, :n_seg] = np.moveaxis(feature_cots, 0, 1)
-    if spec.feature == "signature":
-        levels = engine.split_flat(cot, d_hat, spec.depth)
-    else:
-        levels = engine.log_of_group_vjp(cache.prefixes,
-                                         lyndon.project_vjp(cot, d_hat, spec.depth))
-    grad_inc = engine.checkpoint_scan_vjp(cache.increments, spec.grid.fine_per_segment,
-                                          cache.prefixes, levels)
-    node_grads = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
-    return net.embed_backward(state.embedding, cache.stream_cache, node_grads)
+    n_seg, _, width = feature_cots.shape
+    node_grads = np.empty(cache.stream.shape[:-1] + (d_hat - 1,))
+    for rows, increments, prefixes in cache.chunks:
+        cot = np.zeros((len(increments), n_seg + 1, width))
+        cot[:, :n_seg] = np.moveaxis(feature_cots[:, rows], 0, 1)
+        if spec.feature == "signature":
+            levels = engine.split_flat(cot, d_hat, spec.depth)
+        else:
+            levels = engine.log_of_group_vjp(prefixes,
+                                             lyndon.project_vjp(cot, d_hat, spec.depth))
+        grad_inc = engine.checkpoint_scan_vjp(increments, spec.grid.fine_per_segment,
+                                              prefixes, levels)
+        node_grads[rows] = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
+    return net.embed_backward(state.embedding, cache.stream, node_grads)
 
 
 def _scheme(spec: ExperimentSpec) -> tuple:

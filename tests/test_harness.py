@@ -36,6 +36,20 @@ class TestLoadConfig:
             harness.load_config(overrides={"experiment": "lookback",
                                            "swoosh": 1, "n_fine": 100})
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"lr": -0.1}, ["lr"]), ({"lr": 0}, ["lr"]), ({"lr": "nan"}, ["lr"]),
+        ({"lr": "-inf"}, ["lr"]), ({"rate": "nan"}, ["rate"]),
+        ({"sigma": "inf"}, ["sigma"]), ({"x0": "-inf"}, ["x0"]),
+        ({"strike": "nan"}, ["strike"]), ({"horizon": "inf"}, ["horizon"]),
+        ({"y0_init": "nan"}, ["y0_init"]),
+        ({"rate": "nan", "sigma": "inf", "lr": 0}, ["rate", "sigma", "lr"]),
+    ])
+    def test_bad_numbers_rejected_with_every_key_named(self, overrides, named):
+        with pytest.raises(harness.ConfigError) as err:
+            harness.load_config(overrides={"experiment": "lookback", **overrides})
+        for key in named:
+            assert f"{key}=" in str(err.value)
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(harness.ConfigError, match="vanilla"):
             harness.load_config(overrides={"experiment": "vanilla"})
@@ -223,6 +237,17 @@ class TestCli:
                          "--set", "iterations=3", "--set", "n_fine=40"])
         assert code == 2
         assert "rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["lr=-0.1", "lr=0", "lr=nan", "rate=nan",
+                                         "sigma=inf"])
+    def test_bad_number_exits_two_before_training(self, tmp_path, capsys, setting):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
+                         "--out", str(out), "--set", setting,
+                         "--set", "iterations=3", "--set", "n_fine=40"])
+        assert code == 2
+        assert setting.split("=")[0] + "=" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_coarse_dates_exit_two(self, tmp_path, capsys):

@@ -416,6 +416,17 @@ class TestEmbedding:
         np.testing.assert_allclose(grads[0], central_difference(objective, params.weight),
                                    rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("scale", [None, np.array([0.5, 0.01, 3.0])])
+    def test_gradient_is_the_stream_product(self, rng, scale):
+        params = net.init_embedding(3, 2, 5, input_scale=scale)
+        stream = rng.standard_normal((7, 11, 3))
+        cot = rng.standard_normal((7, 11, 2))
+        expect = stream.reshape(-1, 3).T @ cot.reshape(-1, 2)
+        if scale is not None:
+            expect *= scale[:, None]
+        np.testing.assert_allclose(net.embed_backward(params, stream, cot)[0], expect,
+                                   rtol=1e-14, atol=0)
+
     def test_channel_mismatch_rejected(self, rng):
         params = net.init_embedding(4, 2, 0)
         with pytest.raises(ValueError):
