@@ -66,7 +66,8 @@ class Experiment:
     ``defaults`` and each ``profiles`` entry are partial config documents
     layered over :data:`_SHARED`; a dict value there is keyed by ``method``.
     ``model`` and ``payoff`` build the spec's parts from a resolved
-    document, ``references`` returns the oracle values of a config, and
+    document, ``references`` returns the oracle values of a config,
+    ``ignores`` names the keys its model, payoff and oracle never read, and
     ``check`` raises :class:`ConfigError` where that oracle does not apply.
     """
 
@@ -75,6 +76,7 @@ class Experiment:
     model: Callable[[dict], sde.ModelSpec]
     payoff: Callable[[dict], solver.PayoffKind]
     references: Callable[[HarnessConfig], dict]
+    ignores: tuple = ()
     check: Callable[[dict], None] = lambda doc: None
 
 
@@ -97,7 +99,7 @@ def _lookback_params(doc: dict) -> oracle.LookbackParams:
 
 
 def _reject_ignored(doc: dict, *keys: str):
-    """Reject a value off the record's default for keys its model and payoff ignore.
+    """Reject a value off the record's default for keys the run ignores.
 
     Such a value would be echoed in the config document without changing
     the run.
@@ -105,12 +107,12 @@ def _reject_ignored(doc: dict, *keys: str):
     defaults = experiment_defaults(doc["experiment"], doc["profile"], doc["method"])
     changed = [f"{key}={doc[key]}" for key in keys if doc[key] != defaults[key]]
     if changed:
-        raise ConfigError(f"the {doc['experiment']} experiment ignores "
-                          f"{', '.join(changed)}; leave them at their defaults")
+        raise ConfigError(f"the {doc['experiment']} experiment with method "
+                          f"{doc['method']} ignores {', '.join(changed)}; "
+                          f"leave them at their defaults")
 
 
 def _lookback_check(doc: dict):
-    _reject_ignored(doc, "strike")
     try:
         _lookback_params(doc)
     except oracle.OracleDomainError:
@@ -164,7 +166,8 @@ REGISTRY = {
                       "runs": {"forward": 1, "backward": 50}}},
         model=_geometric_model,
         payoff=lambda doc: solver.PayoffKind("lookback"),
-        references=_lookback_references, check=_lookback_check),
+        references=_lookback_references, ignores=("strike", "reference_paths"),
+        check=_lookback_check),
     "quadratic": Experiment(
         defaults={"method": "forward", "feature": "log-signature", "d": 20, "m": 2,
                   "n_coarse": 5, "n_fine": 100, "x0": 0.0, "rate": 0.0, "sigma": 0.0},
@@ -173,7 +176,7 @@ REGISTRY = {
         model=lambda doc: sde.ModelSpec.arithmetic_unit(doc["x0"], dim=doc["d"]),
         payoff=lambda doc: solver.PayoffKind("quadratic-integral"),
         references=_quadratic_references,
-        check=lambda doc: _reject_ignored(doc, "rate", "sigma", "strike")),
+        ignores=("rate", "sigma", "strike", "reference_paths")),
     "amerasian": Experiment(
         defaults={"method": "reflected", "feature": "log-signature", "d": 1, "m": 2,
                   "n_coarse": 20, "x0": 100.0, "rate": 0.05, "sigma": 0.15,
@@ -292,6 +295,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
         )
     except (solver.SpecError, sde.GridError, sde.ModelError) as exc:
         raise ConfigError(str(exc)) from exc
+    # only the forward scheme trains an initial value
+    _reject_ignored(resolved, *record.ignores,
+                    *(("y0_init",) if spec.method != "forward" else ()))
     record.check(resolved)
     return HarnessConfig(resolved, spec)
 

@@ -194,8 +194,9 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
     over the batch axes of the cotangent, per net of a stack.  ``input_grad``
     is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`;
     it is ``None`` unless ``need_input_grad``, which skips the layer-0
-    product.  The pass spends the cache.  A stack runs on contiguous blocks
-    of its dates side by side.
+    product.  The pass spends the cache; it never reads the cache's output
+    array, which may hold ``cotangent`` itself.  A stack runs on contiguous
+    blocks of its dates side by side.
     """
     post = cache
     if cotangent.shape != post[-1].shape:

@@ -196,6 +196,8 @@ def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -
     n = increments.shape[-2]
     if fine_per_segment <= 0 or n % fine_per_segment != 0:
         raise ValueError(f"fine step count {n} is not a multiple of {fine_per_segment}")
+    if n == 0:  # an empty path has one prefix, the identity
+        return identity_levels(increments.shape[:-2] + (1,), increments.shape[-1], depth)
     return [np.concatenate([np.zeros_like(lvl[..., :1, :]), lvl], axis=-2)
             for lvl in _prefixes(increments, fine_per_segment, depth)]
 
@@ -337,6 +339,8 @@ def checkpoint_scan_vjp(increments: np.ndarray, fine_per_segment: int,
     the one-pass scan), then one :func:`block_signatures_vjp` runs over all blocks.
     """
     d, depth = increments.shape[-1], len(prefixes)
+    if increments.shape[-2] == 0:  # an empty path: nothing to pull back
+        return np.zeros_like(increments)
     blocks = increments.reshape(increments.shape[:-2] + (-1, fine_per_segment, d))
     # product_vjp reads a block only below its top level
     lower = block_signatures(blocks, depth - 1) if depth > 1 else []

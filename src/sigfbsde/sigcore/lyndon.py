@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import engine
 
@@ -122,7 +121,9 @@ class _LevelBasis:
     words: list
     positions: np.ndarray        # tensor offsets of the Lyndon words, lex order
     solve_matrix: np.ndarray     # maps coefficients-at-positions rows to Lie rows
-    expansion: sp.csr_matrix     # (d**k, n_words) bracketing expansions
+    # nonzeros of the (d**k, n_words) bracketing expansions: tensor offset,
+    # word index and coefficient; the dense block is built only by expand
+    expansion: tuple             # (rows, cols, vals)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +146,8 @@ def basis(channels: int, depth: int) -> tuple[_LevelBasis, ...]:
                     tri[index[v], c] = coeff
         if not np.allclose(np.triu(tri, 1), 0.0) or not np.allclose(np.diag(tri), 1.0):
             raise AssertionError("Lyndon change of basis lost unit triangularity")
-        expansion = sp.csr_matrix((vals, (rows, cols)), shape=(channels ** k, n_w))
+        expansion = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                     np.array(vals))
         # rows transform: lie = coeffs_at_positions @ inv(tri).T
         inv_tri = np.linalg.inv(tri)
         levels.append(_LevelBasis(words, positions, inv_tri.T.copy(), expansion))
@@ -183,6 +185,11 @@ def expand(coefficients: np.ndarray, channels: int, depth: int) -> engine.Levels
     for k in range(depth):
         n_w = len(data[k].words)
         piece = coefficients[..., offset:offset + n_w]
-        out.append(piece @ data[k].expansion.T.toarray())
+        rows, cols, vals = data[k].expansion
+        dense = np.zeros((channels ** (k + 1), n_w))
+        dense[rows, cols] = vals
+        # the product reads the block column-major, through a transposed
+        # view: a product's last bits can depend on its operand's layout
+        out.append(piece @ dense.T)
         offset += n_w
     return out

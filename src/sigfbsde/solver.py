@@ -256,6 +256,7 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
         batch = sde.simulate_batch(spec.model, spec.grid, min(2048, PILOT_PATHS - offset),
                                    seed, path_offset=offset)
         total += float(np.sum(spec.payoff.values(batch)[0]))
+        del batch   # freed before the next batch is drawn
     growth = (1.0 - spec.driver.dy() * spec.grid.dt) ** spec.grid.n_coarse
     return total / PILOT_PATHS / growth
 
@@ -289,8 +290,8 @@ class FeatureCache:
 
     ``stream`` is the unembedded batch (the cache of :func:`net.embed_stream`
     over the whole batch).  ``chunks`` holds, per chunk of paths, its rows,
-    the increments of its time-augmented embedded stream and its
-    ``checkpoint_scan`` levels, one slot per coarse date 0..N.
+    the increments of its time-augmented embedded stream up to coarse date
+    ``N-1`` and its ``checkpoint_scan`` levels, one slot per date 0..N-1.
     """
 
     stream: np.ndarray
@@ -347,16 +348,18 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     chunks of near-equal size and at most :data:`FEATURE_CHUNK_PATHS` paths,
     one after another, each writing its rows of the features: the
     temporaries are chunk-sized and every bit is the same as for the whole
-    batch at once.
+    batch at once.  No feature reads the last segment, so the stages run
+    over the path up to date ``N-1`` only.
     """
     grid, size = batch.grid, batch.batch_size
     d_hat, width = spec.stream_channels, spec.feature_width
-    times = np.arange(grid.n_fine + 1) * grid.h
+    n_scan = (grid.n_coarse - 1) * grid.fine_per_segment
+    times = np.arange(n_scan + 1) * grid.h
     features = np.empty((grid.n_coarse, size, width))
     chunks = []
     for start, stop in sde._blocks(size, -(-size // FEATURE_CHUNK_PATHS)):
         rows = slice(start, stop)
-        values = batch.states[rows]
+        values = batch.states[rows, :n_scan + 1]
         if state.embedding is not None:
             values, _ = net.embed_stream(state.embedding, values)
         nodes = np.concatenate(
@@ -378,7 +381,7 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
             flat = lyndon.project(log_levels, d_hat, spec.depth)
         if flat.shape[-1] != width:
             raise SpecError(f"feature width {flat.shape[-1]} != expected {width}")
-        features[:, rows] = np.moveaxis(flat[:, :grid.n_coarse, :], 0, 1)
+        features[:, rows] = np.moveaxis(flat, 0, 1)
     cache = FeatureCache(batch.states, chunks) if state.embedding is not None else None
     return features, cache
 
@@ -389,14 +392,15 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
 
     The reverse pass runs chunk by chunk over the cache, writing each
     chunk's node gradients into one ``(B, n+1, embed_dim)`` buffer; the
-    embedding gradient is then one product over the whole batch.
+    embedding gradient is then one product over the whole batch.  The nodes
+    of the last segment, which no feature reads, get zero gradients.
     """
     d_hat = spec.stream_channels
-    n_seg, _, width = feature_cots.shape
+    n_scan = (spec.grid.n_coarse - 1) * spec.grid.fine_per_segment
     node_grads = np.empty(cache.stream.shape[:-1] + (d_hat - 1,))
+    node_grads[:, n_scan + 1:] = 0.0
     for rows, increments, prefixes in cache.chunks:
-        cot = np.zeros((len(increments), n_seg + 1, width))
-        cot[:, :n_seg] = np.moveaxis(feature_cots[:, rows], 0, 1)
+        cot = np.moveaxis(feature_cots[:, rows], 0, 1)
         if spec.feature == "signature":
             levels = engine.split_flat(cot, d_hat, spec.depth)
         else:
@@ -404,7 +408,7 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
                                              lyndon.project_vjp(cot, d_hat, spec.depth))
         grad_inc = engine.checkpoint_scan_vjp(increments, spec.grid.fine_per_segment,
                                               prefixes, levels)
-        node_grads[rows] = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
+        node_grads[rows, :n_scan + 1] = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
     return net.embed_backward(state.embedding, cache.stream, node_grads)
 
 
@@ -439,8 +443,9 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
     """
     sign, dates = _scheme(spec)
     n_seg, dt = spec.grid.n_coarse, spec.grid.dt
-    zs, cache = net.mlp_forward(state.nets, features)
+    # the payoff's temporaries are freed before the nets' cache is allocated
     payoff, exercise = spec.payoff.values(batch)
+    zs, cache = net.mlp_forward(state.nets, features)
     ys = np.empty((batch.batch_size, n_seg + 1))
     if sign > 0:
         ys[:, 0] = float(state.y0)
@@ -493,7 +498,9 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     if update:
         adj = 2.0 * resid / spec.batch_size
         step_factor = 1.0 - sign * spec.driver.dy() * spec.grid.dt
-        g_z = np.empty((spec.grid.n_coarse, spec.batch_size, spec.model.dim))
+        # the nets' outputs are dead after the rollout and mlp_backward never
+        # reads them, so their array takes the output cotangents
+        g_z = cache[-1]
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]
@@ -501,6 +508,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
             adj = adj * step_factor
         grads, feature_cots = net.mlp_backward(state.nets, cache, g_z,
                                                fcache is not None)
+        del cache, features, g_z   # spent; freed before the features' reverse pass
         _assign(state.grad.nets.parameters(), grads)
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)

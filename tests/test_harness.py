@@ -1,6 +1,8 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,33 @@ class TestLoadConfig:
             harness.load_config(overrides={"experiment": "lookback", **overrides})
         for key in named:
             assert f"{key}=" in str(err.value)
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"experiment": "lookback", "reference_paths": 5000}, ["reference_paths"]),
+        ({"experiment": "quadratic", "reference_paths": 5000}, ["reference_paths"]),
+        ({"experiment": "lookback", "method": "backward", "y0_init": 1.0}, ["y0_init"]),
+        ({"experiment": "quadratic", "method": "backward", "y0_init": 1.0}, ["y0_init"]),
+        ({"experiment": "amerasian", "y0_init": 1.0}, ["y0_init"]),
+        ({"experiment": "lookback", "method": "backward", "y0_init": 1.0,
+          "reference_paths": 5000, "strike": 1.0}, ["y0_init", "reference_paths", "strike"]),
+        ({"experiment": "quadratic", "method": "backward", "y0_init": 1.0,
+          "reference_paths": 5000, "rate": 0.5}, ["y0_init", "reference_paths", "rate"]),
+    ])
+    def test_ignored_keys_rejected_with_every_key_named(self, overrides, named):
+        with pytest.raises(harness.ConfigError) as err:
+            harness.load_config(overrides=overrides)
+        for key in named:
+            assert f"{key}=" in str(err.value)
+
+    @pytest.mark.parametrize("overrides", [
+        {"experiment": "amerasian", "reference_paths": 5000},
+        {"experiment": "amerasian", "method": "forward", "y0_init": 1.0},
+        {"experiment": "lookback", "y0_init": 1.0},
+        {"experiment": "quadratic", "method": "backward", "reference_paths": 200_000,
+         "y0_init": None},
+    ])
+    def test_keys_the_run_reads_accepted(self, overrides):
+        harness.load_config(overrides=overrides)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(harness.ConfigError, match="vanilla"):
@@ -223,6 +252,15 @@ class TestCli:
         assert "quadratic" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "report.json"))
 
+    def test_imports_load_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(sigfbsde.__file__))
+        code = ("import sys, sigfbsde, sigfbsde.harness, sigfbsde.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_validation_error_exit_two(self, capsys):
         code = cli.main(["run", "--experiment", "lookback",
                          "--set", "n_fine=2001"])
@@ -278,6 +316,17 @@ class TestCli:
                          "--set", "iterations=2"])
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ignored_initial_value_exits_two_before_training(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
+                         "--out", str(out), "--set", "method=backward",
+                         "--set", "y0_init=1", "--set", "reference_paths=5000",
+                         "--set", "iterations=2", "--set", "n_fine=40"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "y0_init=1.0" in err and "reference_paths=5000" in err
         assert not out.exists()
 
     def test_oracle_negative_spot_exits_two(self, capsys):

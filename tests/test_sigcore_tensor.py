@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sigfbsde.sigcore import (DomainError, ShapeMismatchError,
                               sig_dim, truncated_exp, truncated_log,
                               truncated_product)
 from sigfbsde import sde
-from sigfbsde.sigcore import engine
+from sigfbsde.sigcore import engine, lyndon
 from conftest import central_difference
 
 
@@ -296,6 +297,18 @@ class TestBlockKernels:
         np.testing.assert_allclose(got, central_difference(objective, inc),
                                    rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 1)])
+    def test_empty_path_has_one_identity_prefix_and_no_gradient(self, depth, batch):
+        inc = np.empty(batch + (0, 2))
+        prefixes = engine.checkpoint_scan(inc, 4, depth)
+        assert [p.shape for p in prefixes] == [batch + (1, 2 ** k)
+                                               for k in range(1, depth + 1)]
+        assert not any(np.any(p) for p in prefixes)
+        if depth <= 3:
+            cot = [np.ones(p.shape) for p in prefixes]
+            assert engine.checkpoint_scan_vjp(inc, 4, prefixes, cot).shape == inc.shape
+
     def test_reverse_pass_rejects_depth_beyond_three(self, rng):
         inc = rng.standard_normal((5, 2))
         cot = [np.ones(2 ** k) for k in range(1, 5)]
@@ -357,3 +370,33 @@ class TestAlgebraProperties:
         for level, grad in zip(s, grads):
             np.testing.assert_allclose(grad, central_difference(objective, level),
                                        rtol=1e-6, atol=1e-6)
+
+
+class TestLyndonBasis:
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 3), (2, 4), (4, 2), (5, 3)])
+    def test_expand_matches_dense_bracket_expansions(self, rng, d, m):
+        coefficients = rng.standard_normal((4, 3, lyndon.lyndon_count(d, m)))
+        got = lyndon.expand(coefficients, d, m)
+        cache, offset = {}, 0
+        for k in range(1, m + 1):
+            words = lyndon._lyndon_words_of_length(d, k)
+            dense = np.zeros((d ** k, len(words)))
+            for c, w in enumerate(words):
+                for v, coeff in lyndon._bracket_expansion(w, cache).items():
+                    dense[lyndon._word_offset(v, d), c] = coeff
+            want = coefficients[..., offset:offset + len(words)] @ dense.T
+            assert got[k - 1].tobytes() == want.tobytes()
+            offset += len(words)
+
+    def test_basis_holds_no_dense_expansion_block(self):
+        # at 21 channels and depth 3 the (21**3, 3080) expansion block is
+        # 228 MB; the (3080, 3080) solve matrix, which projection reads, is 76 MB
+        tracemalloc.start()
+        try:
+            levels = lyndon.basis.__wrapped__(21, 3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        dense = 21 ** 3 * len(levels[2].words) * 8
+        solve = sum(level.solve_matrix.nbytes for level in levels)
+        assert held <= solve + 0.05 * dense

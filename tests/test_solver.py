@@ -255,6 +255,52 @@ class TestFeatureChunks:
         # eight chunks measured 0.43 of the one-chunk peak
         assert peak(32) <= 0.6 * peak(256)
 
+    @pytest.mark.parametrize("n_coarse", [1, 2, 4])
+    @pytest.mark.parametrize("feature", solver.FEATURE_KINDS)
+    def test_last_segment_is_not_scanned(self, n_coarse, feature):
+        # feature n reads the path up to date n < N, so the scan stops at N-1
+        spec = solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=4),
+            grid=sde.GridSpec(1.0, 3 * n_coarse, n_coarse), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2, feature=feature,
+            embed_dim=2, batch_size=6, seed=0)
+        state = solver.init_state(spec)
+        batch = sde.simulate_batch(spec.model, spec.grid, 6, 1)
+        cot = np.random.default_rng(2).standard_normal((n_coarse, 6, spec.feature_width))
+        with mock.patch.object(engine, "checkpoint_scan",
+                               wraps=engine.checkpoint_scan) as scan:
+            features, grad, node_grads = chunked_pipeline(state, spec, batch, cot, 6)
+        assert scan.call_args.args[0].shape == (6, 3 * (n_coarse - 1), 3)
+        assert not np.any(features[0])
+        assert not np.any(node_grads[:, 3 * (n_coarse - 1) + 1:])
+        if n_coarse == 1:
+            assert not np.any(grad)
+
+
+class TestStepMemory:
+    def test_embedded_step_frees_dead_arrays(self):
+        # d=100 embedded to 5, 5 dates, 250 paths in two feature chunks: the
+        # step's traced peak beyond the state buffer measured 4.95 (N, B, d)
+        # arrays; holding the spent nets' cache, the nets' outputs and a
+        # separate output cotangent through the features' reverse pass
+        # measured 8.21
+        spec = solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=100),
+            grid=sde.GridSpec(1.0, 20, 5), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2,
+            feature="log-signature", embed_dim=5, batch_size=250, seed=0)
+        state = solver.init_state(spec)
+        solver.train_step(state, spec, 1)   # warm up lazily built bases
+        tracemalloc.start()
+        try:
+            solver.train_step(state, spec, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = 250 * 21 * 100 * 8
+        date_array = 5 * 250 * 100 * 8
+        assert peak <= states + 6.5 * date_array
+
 
 class TestForwardIteration:
     def test_degenerate_loss_is_squared_distance(self):
