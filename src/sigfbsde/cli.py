@@ -144,7 +144,9 @@ def _selftest_checks():
 
     def stack_split_reproducible():
         # enough rows that the stack is split over threads on a multi-core
-        # host, while each date alone, a stack of one, stays on one block
+        # host, while each date alone, a stack of one, stays on one block;
+        # then the stack again through sub-blocks of one date, which the
+        # backward pass recomputes
         nets = [net.init_mlp(net.MlpSpec(3, 2, hidden=(8, 8)), n, zero_output=False,
                              input_scale=np.array([1.0, 0.5, 0.1])) for n in range(4)]
         x = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 3))
@@ -152,16 +154,23 @@ def _selftest_checks():
 
         def run(params, x, cot):
             out, cache = net.mlp_forward(params, x)
-            out = out.copy()   # the backward pass spends the cache
-            return [out, *net.mlp_backward(params, cache, cot, True)]
+            grads, gx = net.mlp_backward(params, cache, cot, True)
+            return [out, *grads, gx]
 
         split = run(net.stack_mlps(nets), x, cot)
+        default = net.SUB_BLOCK_ROWS
+        try:
+            net.SUB_BLOCK_ROWS = 1
+            one_date = run(net.stack_mlps(nets), x, cot)
+        finally:
+            net.SUB_BLOCK_ROWS = default
+        if any(a.tobytes() != b.tobytes() for a, b in zip(split, one_date)):
+            return False
         for n in range(4):
             alone = run(net.stack_mlps(nets[n:n + 1]), x[n:n + 1], cot[n:n + 1])
-            for whole, part in zip([split[0], *split[1], split[2]],
-                                   [alone[0], *alone[1], alone[2]]):
-                if whole[n:n + 1].tobytes() != part.tobytes():
-                    return False
+            if any(whole[n:n + 1].tobytes() != part.tobytes()
+                   for whole, part in zip(split, alone)):
+                return False
         return True
 
     def chunked_features():
@@ -200,7 +209,7 @@ def _selftest_checks():
         ("adam zero-gradient fixpoint", adam_zero_grad),
         ("per-path stream reproducibility", simulation_reproducible),
         ("exact geometric step", exact_geometric_step),
-        ("stacked MLP date-split reproducibility", stack_split_reproducible),
+        ("stacked MLP date-split and sub-block reproducibility", stack_split_reproducible),
         ("chunked feature pipeline", chunked_features),
         ("lookback closed form", lookback_formula),
     ]

@@ -2,16 +2,19 @@
 
 Reverse mode is hand-rolled for the one fixed composite this library needs;
 each forward call returns the cache its backward companion consumes.  One
-MLP code path serves a single net and a stack of nets on a leading axis; its
-cache holds post-activations only, and its backward pass spends them.
+MLP code path serves a single net and a stack of nets on a leading axis.
 
 Net ``n`` of a stack only reads date ``n``, so a large stack runs on
 contiguous blocks of its dates, one per core, side by side: numpy releases
-the interpreter lock inside the products.  The calling thread allocates
-every cache layer and gradient, and each thread fills its own dates with
-the same calls on the same data, so every bit is the same whatever the
-thread count.  The threads are made per call and call no public function
-of this package.
+the interpreter lock inside the products.  Each block runs its dates a few
+at a time through layer buffers of a bounded number of rows, and the MLP
+keeps no activation of the whole stack: the backward pass recomputes each
+sub-block's hidden layers, all but the last, into the buffers (the
+recomputation of Chen et al., "Training deep nets with sublinear memory
+cost", 2016).  The calling thread allocates every buffer and gradient, and
+each thread runs its own dates with the same calls on the same data, so
+every bit is the same whatever the thread count and the sub-block size.
+The threads are made per call and call no public function of this package.
 """
 
 from __future__ import annotations
@@ -30,9 +33,13 @@ ACTIVATIONS = ("relu", "identity")
 # that, starting a thread and passing the interpreter lock back and forth
 # cost more than the products a thread takes over.
 PARALLEL_MIN_ROWS = 2048
-# The backward pass masks a stack's relu layers a few dates at a time, at most
-# MASK_ROWS rows (or one date), so that no thread holds a large mask.
-MASK_ROWS = 1024
+# Each date block runs through layer buffers of a few whole dates, never fewer
+# than one: the buffers of all blocks together hold at most SUB_BLOCK_ROWS rows
+# when one date fits, so a stack's working memory does not grow with its dates
+# or with the number of threads.  The backward pass recomputes every
+# sub-block but the last; a stack of at most SUB_BLOCK_ROWS rows recomputes
+# nothing.
+SUB_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -116,17 +123,50 @@ def _date_blocks(params: MlpParams, x: np.ndarray) -> list:
     return sde._blocks(n_dates, min(sde.thread_count(), n_dates * rows // PARALLEL_MIN_ROWS))
 
 
-def _forward_dates(params: MlpParams, x: np.ndarray, post: list, a, b):
-    """Fill dates ``a:b`` of every cache layer (all of them for a single net)."""
-    d = slice(a, b)
+def _layer_buffers(params: MlpParams, shape: tuple) -> list:
+    """C-contiguous buffers for the input and hidden layers of an input of
+    ``shape``; ``None`` for an unscaled input, which is read from ``x``.
+
+    Every date of a buffer has the same strides whatever its date count: a
+    strided dot product's last bit can depend on them.
+    """
+    bufs = [None if params.input_scale is None else np.empty(shape)]
+    return bufs + [np.empty(shape[:-1] + (w,)) for w in params.spec.hidden]
+
+
+def _sub_blocks(x: np.ndarray, bufs: list, a, b) -> list:
+    """``(dates, layers)`` of each sub-block of dates ``a:b``, as many dates
+    as ``bufs`` hold (all of them for a single net): the slice of its dates
+    and its views of the input and hidden layers."""
+    if a is None:
+        spans = [(slice(None), slice(None))]
+    else:
+        size = max((len(buf) for buf in bufs if buf is not None), default=b - a)
+        spans = [(slice(n, min(n + size, b)), slice(0, min(size, b - n)))
+                 for n in range(a, b, size)]
+    return [(d, [x[d] if buf is None else buf[rows] for buf in bufs]) for d, rows in spans]
+
+
+def _hidden(params: MlpParams, x: np.ndarray, layers: list, d: slice):
+    """Compute the (scaled) input and hidden layers of dates ``d`` into ``layers``."""
     if params.input_scale is not None:
-        np.multiply(x[d], params.input_scale, out=post[0][d])
-    last = len(params.weights) - 1
-    for l, (w, bias) in enumerate(zip(params.weights, params.biases)):
-        h = np.matmul(post[l][d], w[d], out=post[l + 1][d])
-        h += bias[d]
-        if l != last and params.spec.activation == "relu":
+        np.multiply(x[d], params.input_scale, out=layers[0])
+    for l in range(1, len(layers)):
+        h = np.matmul(layers[l - 1], params.weights[l - 1][d], out=layers[l])
+        h += params.biases[l - 1][d]
+        if params.spec.activation == "relu":
             np.maximum(h, 0.0, out=h)
+
+
+def _forward_dates(params: MlpParams, x: np.ndarray, out: np.ndarray, buffers: dict,
+                   a, b):
+    """Write the output of dates ``a:b`` (all of them for a single net), one
+    sub-block at a time through the block's buffers, which are left holding
+    the last sub-block."""
+    for d, layers in _sub_blocks(x, buffers[a, b], a, b):
+        _hidden(params, x, layers, d)
+        h = np.matmul(layers[-1], params.weights[-1][d], out=out[d])
+        h += params.biases[-1][d]
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
@@ -135,55 +175,56 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     A single net takes ``x`` with arbitrary leading batch axes over the
     input width; a stack of ``N`` nets takes ``(N, B, in_dim)`` and applies
     net ``n`` to ``x[n]``, after multiplying by ``params.input_scale`` (when
-    set).  The cache holds post-activations only; relu runs in place.  A
-    stack runs on contiguous blocks of its dates side by side.
+    set).  A stack runs on contiguous blocks of its dates side by side, and
+    each block runs through buffers of a few dates (see
+    :data:`SUB_BLOCK_ROWS`).  The cache is ``(x, buffers)``: the buffers
+    hold each block's last sub-block.
     """
     spec, stack = params.spec, params.stack
     if x.shape[-1] != spec.in_dim or stack and (x.ndim != 3 or x.shape[:1] != stack):
         raise ValueError(f"input shape {x.shape} does not fit in_dim {spec.in_dim}, stack {stack}")
-    # the scaled input keeps the memory layout of x, as x * input_scale does:
-    # a strided dot product's last bit can depend on it
-    post = [x if params.input_scale is None else np.empty_like(x, dtype=float)]
-    post += [np.empty(x.shape[:-1] + (w,)) for w in spec.widths[1:]]
-    sde._run_blocks(functools.partial(_forward_dates, params, x, post),
-                    _date_blocks(params, x))
-    return post[-1], post
+    blocks = _date_blocks(params, x)
+    if stack:
+        size = max(1, SUB_BLOCK_ROWS // (len(blocks) * max(1, x.shape[1])))
+        buffers = {(a, b): _layer_buffers(params, (min(size, b - a),) + x.shape[1:])
+                   for a, b in blocks}
+    else:
+        buffers = {(None, None): _layer_buffers(params, x.shape)}
+    out = np.empty(x.shape[:-1] + (spec.out_dim,))
+    sde._run_blocks(functools.partial(_forward_dates, params, x, out, buffers), blocks)
+    return out, (x, buffers)
 
 
-def _backward_dates(params: MlpParams, post: list, cotangent: np.ndarray, grads: list,
-                    input_grad: np.ndarray | None, a, b):
-    """Spend dates ``a:b`` of the cache (all of it for a single net); fill
-    their parameter gradients and, unless it is ``None``, input gradient."""
-    d = slice(a, b)
+def _backward_dates(params: MlpParams, x: np.ndarray, buffers: dict, cotangent: np.ndarray,
+                    grads: list, input_grad: np.ndarray | None, a, b):
+    """Fill the parameter gradients of dates ``a:b`` (all of them for a
+    single net) and, unless it is ``None``, their input gradient, one
+    sub-block at a time from the last.  Every sub-block but the last is
+    first recomputed into the buffers, by the same calls on the same data."""
     k = len(params.stack)
-    g = cotangent[d]
-    for l in range(len(params.weights) - 1, -1, -1):
-        flat_in = post[l][d].reshape(g.shape[:k] + (-1, post[l].shape[-1]))
-        flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
-        np.matmul(flat_in.swapaxes(-1, -2), flat_g, out=grads[2 * l][d])
-        np.sum(flat_g, axis=-2, out=grads[2 * l + 1][d].reshape(g.shape[:k] + g.shape[-1:]))
-        w_t = params.weights[l][d].swapaxes(-1, -2)
-        if not l:
-            if input_grad is not None:
-                g = np.matmul(g, w_t, out=input_grad[d])
-                if params.input_scale is not None:
-                    g *= params.input_scale
-            return
-        # post[l] is spent and takes the cotangent; the relu mask post > 0
-        # (equal to pre > 0) is taken over at most MASK_ROWS rows at a time
-        out = post[l][d]
-        if params.spec.activation != "relu":
-            g = np.matmul(g, w_t, out=out)
-            continue
-        parts = [...]
-        if k:
-            step = max(1, MASK_ROWS // max(1, out.shape[1]))
-            parts = [slice(n, n + step) for n in range(0, len(out), step)]
-        for part in parts:
-            mask = out[part] > 0.0
-            np.matmul(g[part], w_t[part], out=out[part])
-            out[part] *= mask
-        g = out
+    for i, (d, layers) in enumerate(reversed(_sub_blocks(x, buffers[a, b], a, b))):
+        if i:
+            _hidden(params, x, layers, d)
+        g = cotangent[d]
+        for l in range(len(params.weights) - 1, -1, -1):
+            flat_in = layers[l].reshape(g.shape[:k] + (-1, layers[l].shape[-1]))
+            flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
+            np.matmul(flat_in.swapaxes(-1, -2), flat_g, out=grads[2 * l][d])
+            np.sum(flat_g, axis=-2,
+                   out=grads[2 * l + 1][d].reshape(g.shape[:k] + g.shape[-1:]))
+            w_t = params.weights[l][d].swapaxes(-1, -2)
+            if not l:
+                if input_grad is not None:
+                    g = np.matmul(g, w_t, out=input_grad[d])
+                    if params.input_scale is not None:
+                        g *= params.input_scale
+                break
+            # layer l is spent and takes the cotangent, after its relu mask
+            # post > 0 (equal to pre > 0) is taken
+            mask = layers[l] > 0.0 if params.spec.activation == "relu" else None
+            g = np.matmul(g, w_t, out=layers[l])
+            if mask is not None:
+                g *= mask
 
 
 def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
@@ -194,19 +235,19 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
     over the batch axes of the cotangent, per net of a stack.  ``input_grad``
     is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`;
     it is ``None`` unless ``need_input_grad``, which skips the layer-0
-    product.  The pass spends the cache; it never reads the cache's output
-    array, which may hold ``cotangent`` itself.  A stack runs on contiguous
-    blocks of its dates side by side.
+    product.  The pass spends the cache's buffers and writes nothing else
+    but its results, so ``cotangent`` may be the forward pass's output.  A
+    stack runs on the same date blocks as its forward pass, side by side.
     """
-    post = cache
-    if cotangent.shape != post[-1].shape:
-        raise ValueError(
-            f"cotangent shape {cotangent.shape} does not match output {post[-1].shape}")
+    x, buffers = cache
+    if cotangent.shape != x.shape[:-1] + (params.spec.out_dim,):
+        raise ValueError(f"cotangent shape {cotangent.shape} does not match output "
+                         f"{x.shape[:-1] + (params.spec.out_dim,)}")
     grads = [np.empty(p.shape) for p in params.parameters()]
-    input_grad = np.empty(post[0].shape) if need_input_grad else None
-    sde._run_blocks(functools.partial(_backward_dates, params, post, cotangent, grads,
+    input_grad = np.empty(x.shape) if need_input_grad else None
+    sde._run_blocks(functools.partial(_backward_dates, params, x, buffers, cotangent, grads,
                                       input_grad),
-                    _date_blocks(params, cotangent))
+                    list(buffers))
     return grads, input_grad
 
 
@@ -230,17 +271,31 @@ def init_adam(params: list, lr: float = 1e-3) -> AdamState:
 
 
 def adam_step(state: AdamState, params: list, grads: list):
-    """Standard bias-corrected Adam update, applied in place; returns both."""
+    """Standard bias-corrected Adam update, applied in place; returns both.
+
+    Each array takes ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, one
+    operation at a time in that order, through two scratch arrays.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        s, t = np.empty_like(p), np.empty_like(p)
+        np.multiply(1.0 - b1, g, out=s)
         m *= b1
-        m += (1.0 - b1) * g
+        m += s
+        np.square(g, out=s)
+        s *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        v += s
+        np.divide(m, c1, out=s)
+        s *= state.lr
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += state.eps
+        s /= t
+        p -= s
     return state, params
 
 

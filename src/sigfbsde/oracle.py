@@ -15,6 +15,9 @@ class OracleDomainError(ValueError):
 
 
 MIN_MC_PATHS = 1000  # fewest paths asian_european_mc accepts
+# asian_european_mc simulates a chunk's paths SUB_BATCH_PATHS at a time, so
+# that no chunk-sized state buffer is ever held
+SUB_BATCH_PATHS = 512
 
 
 def norm_cdf(x: float) -> float:
@@ -124,8 +127,10 @@ def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
 
     Discounted positive part of the weighted running average at maturity,
     using the same fine-grid quadrature as the solvers, summed directly
-    rather than through the whole running integral.  Paths are simulated
-    ``chunk`` at a time.  Returns ``(estimate, standard_error)``.
+    rather than through the whole running integral.  The payoffs are summed
+    ``chunk`` paths at a time, and a chunk's paths are simulated
+    :data:`SUB_BATCH_PATHS` at a time; each path's average is the same
+    whatever the sub-batch.  Returns ``(estimate, standard_error)``.
     """
     if n_paths < MIN_MC_PATHS:
         raise ValueError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
@@ -134,8 +139,13 @@ def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
     total, total_sq, done = 0.0, 0.0, 0
     while done < n_paths:
         b = min(chunk, n_paths - done)
-        batch = sde.simulate_batch(model, grid, b, seed, path_offset=done)
-        avg = (batch.states[:, :-1] @ w).sum(axis=1) * grid.h / grid.horizon
+        avg = np.empty(b)
+        for lo in range(0, b, SUB_BATCH_PATHS):
+            hi = min(lo + SUB_BATCH_PATHS, b)
+            states = sde.simulate_batch(model, grid, hi - lo, seed,
+                                        path_offset=done + lo).states
+            avg[lo:hi] = (states[:, :-1] @ w).sum(axis=1) * grid.h / grid.horizon
+            del states
         pay = disc * np.maximum(avg - strike, 0.0)
         total += float(pay.sum())
         total_sq += float((pay * pay).sum())

@@ -436,10 +436,11 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
     ``y - sign*f(y)*dt + sign*Σ z·ΔW``, with ``z`` the output of approximator
     ``n`` and ``ΔW`` the Brownian increment over segment ``n``.
 
-    Returns ``(ys, payoff, cache, masks)``: ``ys[:, n]`` is the value at
-    coarse date ``n``, ``payoff`` the terminal payoff, ``cache`` that of the
-    stacked approximators, and ``masks[n]`` where the value stepped to by
-    date ``n`` stayed on or above the floor (``None`` without a floor).
+    Returns ``(ys, payoff, nets, masks)``: ``ys[:, n]`` is the value at
+    coarse date ``n``, ``payoff`` the terminal payoff, ``nets`` the
+    ``(output, cache)`` of the stacked approximators, and ``masks[n]`` where
+    the value stepped to by date ``n`` stayed on or above the floor
+    (``None`` without a floor).
     """
     sign, dates = _scheme(spec)
     n_seg, dt = spec.grid.n_coarse, spec.grid.dt
@@ -461,7 +462,7 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
             masks[n] = y >= exercise[:, n]
             y = np.maximum(exercise[:, n], y)
         ys[:, dst] = y
-    return ys, payoff, cache, masks
+    return ys, payoff, (zs, cache), masks
 
 
 def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
@@ -482,7 +483,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
     _, coarse_incs = sde.coarsen(batch)
-    ys, payoff, cache, masks = rollout(state, spec, batch, features, coarse_incs)
+    ys, payoff, (zs, cache), masks = rollout(state, spec, batch, features, coarse_incs)
     sign, dates = _scheme(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if sign > 0:
@@ -500,7 +501,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
         step_factor = 1.0 - sign * spec.driver.dy() * spec.grid.dt
         # the nets' outputs are dead after the rollout and mlp_backward never
         # reads them, so their array takes the output cotangents
-        g_z = cache[-1]
+        g_z = zs
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]
@@ -508,7 +509,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
             adj = adj * step_factor
         grads, feature_cots = net.mlp_backward(state.nets, cache, g_z,
                                                fcache is not None)
-        del cache, features, g_z   # spent; freed before the features' reverse pass
+        del cache, features, zs, g_z   # spent; freed before the features' reverse pass
         _assign(state.grad.nets.parameters(), grads)
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)

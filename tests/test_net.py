@@ -183,12 +183,13 @@ class TestStackedMlp:
             nets, rng.standard_normal((4, 7, 5)), rng.standard_normal((4, 7, 2)))
 
     def test_relu_masks_in_chunks_of_dates(self, rng):
-        # two dates per mask chunk, the last chunk holding one
-        rows = net.MASK_ROWS // 2 - 1
+        # one block, two dates per sub-block, the last sub-block holding one
+        rows = net.SUB_BLOCK_ROWS // 2 - 1
         nets = [net.init_mlp(net.MlpSpec(3, 2, hidden=(6, 5)), n, zero_output=False)
                 for n in range(5)]
-        assert_stack_matches_separate_nets(
-            nets, rng.standard_normal((5, rows, 3)), rng.standard_normal((5, rows, 2)))
+        with mock.patch.object(sde, "thread_count", lambda: 1):
+            assert_stack_matches_separate_nets(
+                nets, rng.standard_normal((5, rows, 3)), rng.standard_normal((5, rows, 2)))
 
     def test_stack_layout(self):
         spec = net.MlpSpec(3, 2, hidden=(4,))
@@ -324,6 +325,62 @@ class TestDateBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[2] <= 1.1 * peaks[1]
+
+
+class TestSubBlocks:
+    """Each date block runs through buffers of a few dates, and the backward
+    pass recomputes every sub-block but the last, without changing a bit."""
+
+    @given(n_dates=st.integers(1, 7), extra_rows=st.integers(0, 3),
+           widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           activation=st.sampled_from(net.ACTIVATIONS), scaled=st.booleans(),
+           need_input_grad=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_sub_block_bound_changes_no_bit(self, n_dates, extra_rows, widths, activation,
+                                            scaled, need_input_grad, seed):
+        rng = np.random.default_rng(seed)
+        spec = net.MlpSpec(widths[0], widths[-1], hidden=tuple(widths[1:-1]),
+                           activation=activation)
+        scale = rng.uniform(0.1, 2.0, spec.in_dim) if scaled else None
+        stacked = net.stack_mlps([net.init_mlp(spec, seed + n, zero_output=False,
+                                               input_scale=scale)
+                                  for n in range(n_dates)])
+        rows = 3 * net.PARALLEL_MIN_ROWS // n_dates + 1 + extra_rows   # three blocks' worth
+        x = np.moveaxis(rng.standard_normal((rows, n_dates + 1, spec.in_dim))[:, :n_dates],
+                        0, 1)
+        cot = rng.standard_normal((n_dates, rows, spec.out_dim))
+        runs = []
+        # one date per sub-block, and every date of a block in one sub-block
+        for bound in (1, 3 * n_dates * rows):
+            with mock.patch.object(net, "SUB_BLOCK_ROWS", bound):
+                for threads in (1, 3):
+                    runs.append(stack_run(stacked, x, cot, need_input_grad, threads))
+        first, *others = runs
+        for other in others:
+            assert first[0].tobytes() == other[0].tobytes()
+            for g_first, g_other in zip(first[1], other[1]):
+                assert g_first.tobytes() == g_other.tobytes()
+            if need_input_grad:
+                assert first[2].tobytes() == other[2].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_is_below_one_layer_of_the_stack(self, rng, threads):
+        # amerasian's stack: 20 dates of 1000 paths, two hidden layers of 64
+        spec = net.MlpSpec(3, 1, hidden=(64, 64))
+        stacked = net.stack_mlps([net.init_mlp(spec, n, zero_output=False,
+                                               input_scale=np.full(3, 0.5))
+                                  for n in range(20)])
+        x = rng.standard_normal((20, 1000, 3))
+        cot = rng.standard_normal((20, 1000, 1))
+        stack_run(stacked, x, cot, True, threads)   # warm up the pool's imports
+        with mock.patch.object(sde, "thread_count", lambda: threads):
+            tracemalloc.start()
+            try:
+                out, cache = net.mlp_forward(stacked, x)
+                net.mlp_backward(stacked, cache, cot, True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 20 * 1000 * 64 * 8
 
 
 class TestAdam:

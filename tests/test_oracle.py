@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +158,30 @@ class TestAsianEuropeanMc:
                                                20_000, seed=8, chunk=20_000)
         assert abs(small - big) <= 1e-12 * abs(big)
         assert abs(se_small - se_big) <= 1e-9 * se_big
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_estimate_is_bit_equal_whatever_the_sub_batch(self, dim):
+        model = sde.ModelSpec.geometric(100.0, 0.05, 0.2, dim=dim)
+        grid = sde.GridSpec(1.0, 40, 4)
+        runs = []
+        for paths in (7, 512, 4096):
+            with mock.patch.object(oracle, "SUB_BATCH_PATHS", paths):
+                runs.append(oracle.asian_european_mc(model, grid, 100.0,
+                                                     np.full(dim, 1.0 / dim), 2500,
+                                                     seed=10, chunk=1024))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_peak_memory_is_below_one_chunk_of_states(self):
+        model = sde.ModelSpec.geometric(100.0, 0.05, 0.2)
+        grid = sde.GridSpec(1.0, 200, 20)
+        oracle.asian_european_mc(model, grid, 100.0, [1.0], 1000, seed=11)   # warm up
+        tracemalloc.start()
+        try:
+            oracle.asian_european_mc(model, grid, 100.0, [1.0], 4096, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * (grid.n_fine + 1) * 8   # one chunk's state buffer
 
     def test_terminal_sum_matches_running_integral(self):
         # zero strike on positive paths: the estimate is the discounted mean

@@ -169,6 +169,18 @@ class TestOneBuffer:
         np.testing.assert_array_equal(part.states, full.states[rows])
         np.testing.assert_array_equal(part.coarse_increments, full.coarse_increments[rows])
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+    def test_increments_match_a_freshly_keyed_philox(self, seed):
+        # a seed of 2**63 or more keys the stream exactly, as a uint64
+        grid = sde.GridSpec(1.0, 6, 2)
+        path_ids = np.array([0, 7, 2 ** 40])
+        incs = sde.brownian_increments(grid, seed, path_ids, np.empty((3, 6, 2)))
+        for row, pid in enumerate(path_ids):
+            gen = np.random.Generator(
+                np.random.Philox(key=np.array([seed, pid], dtype=np.uint64)))
+            expect = gen.standard_normal((6, 2)) * np.sqrt(grid.h)
+            assert incs[row].tobytes() == expect.tobytes()
+
     def test_increment_buffer_shape_checked(self):
         grid = sde.GridSpec(1.0, 8, 2)
         with pytest.raises(ValueError):

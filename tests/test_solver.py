@@ -148,7 +148,7 @@ class TestFeatures:
         grid = spec.grid
         times = np.arange(grid.n_fine + 1) * grid.h
         rescaled = batch.states / solver.feature_scale(spec.model)
-        _, post = net.mlp_forward(state.nets, features)
+        first_layer_input = features * state.nets.input_scale
         for n in (1, 4, 9):
             end = n * grid.fine_per_segment + 1
             for j in (0, 3):
@@ -157,7 +157,7 @@ class TestFeatures:
                     expect = path_signature(prefix, depth).flatten()
                 else:
                     expect = log_signature(prefix, depth).coefficients
-                np.testing.assert_allclose(post[0][n, j], expect,
+                np.testing.assert_allclose(first_layer_input[n, j], expect,
                                            rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("feature, depth", [
