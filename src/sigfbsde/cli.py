@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import harness, net, oracle, sde, solver
-from .sigcore import paths, tensor
+from .sigcore import engine, lyndon
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,57 +62,65 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _signature(nodes, depth):
+    """Signature levels of the piecewise-linear path through ``(n, d)`` nodes."""
+    return engine.signature_scan(np.diff(nodes, axis=0), depth)
+
+
 def _selftest_checks():
     rng = np.random.default_rng(20240)
 
     def chen_split():
         nodes = rng.standard_normal((9, 2))
-        full = paths.path_signature(nodes, 3)
-        left = paths.path_signature(nodes[:5], 3)
-        right = paths.path_signature(nodes[4:], 3)
-        return full.allclose(tensor.truncated_product(left, right))
+        full = _signature(nodes, 3)
+        joined = engine.product(_signature(nodes[:5], 3), _signature(nodes[4:], 3))
+        return all(np.allclose(a, b, rtol=1e-12, atol=1e-14) for a, b in zip(full, joined))
 
     def shuffle_level2():
         nodes = rng.standard_normal((7, 3))
-        sig = paths.path_signature(nodes, 2)
-        lvl1, lvl2 = sig.levels[0], sig.levels[1].reshape(3, 3)
+        lvl1, lvl2 = _signature(nodes, 2)
+        lvl2 = lvl2.reshape(3, 3)
         return np.allclose(np.multiply.outer(lvl1, lvl1), lvl2 + lvl2.T, rtol=1e-12)
 
     def scalar_closed_form():
-        nodes = np.cumsum(rng.standard_normal(6))
-        sig = paths.path_signature(nodes, 5)
-        inc = nodes[-1] - nodes[0]
+        nodes = np.cumsum(rng.standard_normal(6))[:, None]
+        sig = engine.flatten_levels(_signature(nodes, 5))
+        inc = nodes[-1, 0] - nodes[0, 0]
         expect = [inc ** k / math.factorial(k) for k in range(1, 6)]
-        return np.allclose(sig.flatten(), expect, rtol=1e-12)
+        return np.allclose(sig, expect, rtol=1e-12)
 
     def exp_log_roundtrip():
-        v = tensor.TruncatedTensorSeries.from_levels(
-            0.0, [rng.standard_normal(2), rng.standard_normal(4),
-                  rng.standard_normal(8)])
-        back = tensor.truncated_log(tensor.truncated_exp(v))
-        return back.allclose(v, rtol=1e-12, atol=1e-12)
+        v = [rng.standard_normal(2), rng.standard_normal(4), rng.standard_normal(8)]
+        back = engine.log_of_group(engine.exp_of_lie(v))
+        return all(np.allclose(a, b, rtol=1e-12, atol=1e-12) for a, b in zip(back, v))
 
     def pullback_fd():
         nodes = rng.standard_normal((5, 2))
-        cot = rng.standard_normal(tensor.sig_dim(2, 2))
-        grad = paths.signature_pullback(nodes, 2, cot)
+        cot = rng.standard_normal(engine.sig_width(2, 2))
+        grad = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
+            np.diff(nodes, axis=0), 2, engine.split_flat(cot, 2, 2)))
         eps = 1e-6
         for idx in [(0, 0), (2, 1), (4, 0)]:
             bumped = nodes.copy()
             bumped[idx] += eps
-            up = float(cot @ paths.path_signature(bumped, 2).flatten())
+            up = float(cot @ engine.flatten_levels(_signature(bumped, 2)))
             bumped[idx] -= 2 * eps
-            down = float(cot @ paths.path_signature(bumped, 2).flatten())
+            down = float(cot @ engine.flatten_levels(_signature(bumped, 2)))
             if abs((up - down) / (2 * eps) - grad[idx]) > 1e-5 * max(1.0, abs(grad[idx])):
                 return False
         return True
 
-    def lyndon_roundtrip():
-        nodes = rng.standard_normal((6, 2))
-        sig = paths.path_signature(nodes, 3)
-        logsig = paths.log_signature(nodes, 3)
-        rebuilt = tensor.truncated_exp(logsig.to_tensor())
-        return rebuilt.allclose(sig, rtol=1e-10, atol=1e-12)
+    def lyndon_coordinates():
+        # the L-shaped path's log is e1 + e2 + [e1, e2] / 2; a straight
+        # segment's log is its increment alone
+        def logsig(nodes, depth):
+            log = engine.log_of_group(_signature(nodes, depth))
+            return lyndon.project(log, nodes.shape[1], depth)
+
+        corner = logsig(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), 2)
+        segment = logsig(rng.standard_normal((2, 3)), 3)
+        return (np.allclose(corner, [1.0, 1.0, 0.5], rtol=1e-12)
+                and np.allclose(segment[3:], 0.0, rtol=0, atol=1e-14))
 
     def adam_zero_grad():
         params = [np.array([1.0, -2.0])]
@@ -205,7 +213,7 @@ def _selftest_checks():
         ("scalar closed form", scalar_closed_form),
         ("exp/log inversion", exp_log_roundtrip),
         ("pullback finite differences", pullback_fd),
-        ("lyndon expand/exp roundtrip", lyndon_roundtrip),
+        ("lyndon coordinates of a corner and a segment", lyndon_coordinates),
         ("adam zero-gradient fixpoint", adam_zero_grad),
         ("per-path stream reproducibility", simulation_reproducible),
         ("exact geometric step", exact_geometric_step),

@@ -7,7 +7,6 @@ import math
 import os
 import platform
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -335,9 +334,11 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     doc, spec = cfg.document, cfg.spec
     run_seeds = [solver.derive_seed(spec.seed, 6, r) for r in range(spec.runs)]
     jobs = [(spec, s) for s in run_seeds]
-    workers = min(doc["workers"], spec.runs, os.cpu_count() or 1)
+    workers = min(doc["workers"], spec.runs, sde.thread_count())
     try:
         if workers > 1:
+            # imported here, so multiprocessing loads only for a pool
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_run_one, jobs))
         else:

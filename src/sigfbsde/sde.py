@@ -1,4 +1,4 @@
-"""Batch simulation of state paths on a fine grid with coarse snapshots.
+"""Batch simulation of state paths on a fine grid with coarse increments.
 
 Brownian increments come from counter-based per-path streams (Philox keyed
 by ``(seed, path index)``), so a path is bit-identical for a given key no
@@ -272,18 +272,6 @@ def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
 
     _run_blocks(rows, _row_blocks(batch_size, grid.n_fine, model.dim))
     return PathBatch(states, coarse_increments, grid, seed, path_ids)
-
-
-def coarsen(batch: PathBatch, grid: GridSpec | None = None):
-    """Snapshot states at coarse dates; pair them with the segment increments.
-
-    Returns ``(coarse_states, coarse_increments)`` of shapes
-    ``(B, N+1, d)`` and ``(B, N, d)``.
-    """
-    grid = grid or batch.grid
-    if grid.n_fine != batch.grid.n_fine or grid.horizon != batch.grid.horizon:
-        raise GridError("grid does not match the batch's simulation grid")
-    return batch.states[:, ::grid.fine_per_segment, :], batch.coarse_increments
 
 
 def running_integral(batch: PathBatch, weights) -> np.ndarray:

@@ -1,30 +1,2 @@
-"""Truncated tensor algebra over paths: signatures, log-signatures, gradients."""
-
-from .tensor import (DomainError, ShapeMismatchError, TruncatedTensorSeries,
-                     segment_signature, sig_dim, truncated_exp, truncated_log,
-                     truncated_product)
-from .paths import (AugmentedPath, GridError, LogSignatureVector,
-                    checkpoint_signature_stream, log_signature, path_signature,
-                    signature_pullback, time_augment)
-from .lyndon import lyndon_count, lyndon_words
-
-__all__ = [
-    "AugmentedPath",
-    "DomainError",
-    "GridError",
-    "LogSignatureVector",
-    "ShapeMismatchError",
-    "TruncatedTensorSeries",
-    "checkpoint_signature_stream",
-    "log_signature",
-    "lyndon_count",
-    "lyndon_words",
-    "path_signature",
-    "segment_signature",
-    "sig_dim",
-    "signature_pullback",
-    "time_augment",
-    "truncated_exp",
-    "truncated_log",
-    "truncated_product",
-]
+"""Truncated tensor algebra over paths: array kernels (``engine``) and
+Lyndon-word coordinates (``lyndon``)."""

@@ -319,8 +319,8 @@ def feature_input_scale(spec: ExperimentSpec) -> np.ndarray:
     the stream, which multiplies the coefficient of word ``w`` by the
     product over its letters of ``1 / feature_scale`` (the time letter
     counts as 1).  This holds for tensor words in :func:`engine.flatten_levels`
-    order and for Lyndon coordinates, since the projection only mixes
-    anagrams.  Shape ``(spec.feature_width,)``.
+    order and for Lyndon coordinates, which :func:`lyndon.project` gathers
+    from those words.  Shape ``(spec.feature_width,)``.
     """
     letters = np.concatenate([[1.0], 1.0 / feature_scale(spec.model)])
     if spec.feature == "log-signature":
@@ -482,8 +482,8 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
-    _, coarse_incs = sde.coarsen(batch)
-    ys, payoff, (zs, cache), masks = rollout(state, spec, batch, features, coarse_incs)
+    ys, payoff, (zs, cache), masks = rollout(state, spec, batch, features,
+                                             batch.coarse_increments)
     sign, dates = _scheme(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if sign > 0:
@@ -505,7 +505,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]
-            g_z[n] = sign * adj[:, None] * coarse_incs[:, n, :]
+            g_z[n] = sign * adj[:, None] * batch.coarse_increments[:, n, :]
             adj = adj * step_factor
         grads, feature_cots = net.mlp_backward(state.nets, cache, g_z,
                                                fcache is not None)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from sigfbsde.sigcore import engine
+
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so a slow host cannot turn them red; the example count bounds
 # their share of the suite's time.
@@ -13,6 +15,11 @@ settings.load_profile("sigfbsde")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def signature(nodes, depth):
+    """Signature levels of the piecewise-linear path through ``(n, d)`` nodes."""
+    return engine.signature_scan(np.diff(nodes, axis=0), depth)
 
 
 def central_difference(f, x, eps=1e-5):

@@ -230,6 +230,17 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.losses, b.losses)
             np.testing.assert_array_equal(a.estimates, b.estimates)
 
+    def test_workers_are_capped_by_usable_cores(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was made on one usable core")
+
+        monkeypatch.setattr(sde, "thread_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = harness.load_config(overrides=tiny_quadratic_overrides(runs=2, workers=2))
+        assert len(harness.run_experiment(cfg).reports) == 2
+
     def test_amerasian_summary_includes_bound(self):
         cfg = harness.load_config(overrides={
             "experiment": "amerasian", "profile": "desk", "d": 1,
@@ -260,6 +271,16 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_imports_load_no_multiprocessing(self):
+        # the process pool's import is deferred to runs with workers > 1
+        src = os.path.dirname(os.path.dirname(sigfbsde.__file__))
+        code = ("import sys, sigfbsde.harness, sigfbsde.solver; "
+                "print('multiprocessing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_validation_error_exit_two(self, capsys):
         code = cli.main(["run", "--experiment", "lookback",

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigfbsde import net, sde
-from sigfbsde.sigcore import path_signature, sig_dim, signature_pullback, time_augment
-from conftest import central_difference
+from sigfbsde.sigcore import engine
+from conftest import central_difference, signature
 
 
 def preactivations(params, x):
@@ -459,17 +459,18 @@ class TestEmbedding:
         params = net.init_embedding(3, 2, 8, input_scale=np.array([0.5, 0.01, 3.0]))
         stream = rng.uniform(-1.0, 1.0, size=(5, 3))
         times = np.linspace(0.0, 1.0, 5)
-        cot = rng.standard_normal(sig_dim(3, depth))
+        cot = rng.standard_normal(engine.sig_width(3, depth))
 
         def objective(_):
             embedded, _ = net.embed_stream(params, stream)
             nodes = np.concatenate([times[:, None], embedded], axis=1)
-            return float(cot @ path_signature(nodes, depth).flatten())
+            return float(cot @ engine.flatten_levels(signature(nodes, depth)))
 
         embedded, cache = net.embed_stream(params, stream)
         nodes = np.concatenate([times[:, None], embedded], axis=1)
-        grads = net.embed_backward(params, cache,
-                                   signature_pullback(nodes, depth, cot)[:, 1:])
+        node_grads = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
+            np.diff(nodes, axis=0), depth, engine.split_flat(cot, 3, depth)))
+        grads = net.embed_backward(params, cache, node_grads[:, 1:])
         np.testing.assert_allclose(grads[0], central_difference(objective, params.weight),
                                    rtol=1e-5, atol=1e-6)
 
@@ -495,17 +496,18 @@ class TestEmbedding:
         params = net.init_embedding(3, 2, 7)
         stream = rng.uniform(-1.0, 1.0, size=(5, 3))
         times = np.linspace(0.0, 1.0, 5)
-        cot = rng.standard_normal(sig_dim(3, depth))
+        cot = rng.standard_normal(engine.sig_width(3, depth))
 
         def objective(_):
             embedded, _ = net.embed_stream(params, stream)
             nodes = np.concatenate([times[:, None], embedded], axis=1)
-            return float(cot @ path_signature(nodes, depth).flatten())
+            return float(cot @ engine.flatten_levels(signature(nodes, depth)))
 
         embedded, cache = net.embed_stream(params, stream)
         nodes = np.concatenate([times[:, None], embedded], axis=1)
-        node_grads = signature_pullback(nodes, depth, cot)[:, 1:]
-        grads = net.embed_backward(params, cache, node_grads)
+        node_grads = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
+            np.diff(nodes, axis=0), depth, engine.split_flat(cot, 3, depth)))
+        grads = net.embed_backward(params, cache, node_grads[:, 1:])
 
         numeric_w = central_difference(lambda _: objective(None), params.weight)
         np.testing.assert_allclose(grads[0], numeric_w, rtol=1e-5, atol=1e-6)

@@ -249,36 +249,35 @@ class TestThreadedBlocks:
         assert all(a == b for (_, a), (b, _) in zip(cuts, cuts[1:]))
 
 
-class TestCoarsen:
+class TestCoarseDates:
+    """A batch's coarse dates: the states at every ``fine_per_segment``-th
+    node, and the coarse increments of the driving Brownian motion."""
+
     def test_unit_segment_ratio_is_identity(self):
         model = sde.ModelSpec.arithmetic_unit(0.0)
         grid = sde.GridSpec(1.0, 6, 6)
         batch = sde.simulate_batch(model, grid, 2, seed=5)
-        cs, cw = sde.coarsen(batch)
-        np.testing.assert_array_equal(cs, batch.states)
-        np.testing.assert_array_equal(cw, redrawn_increments(batch))
+        np.testing.assert_array_equal(batch.states[:, ::grid.fine_per_segment],
+                                      batch.states)
+        np.testing.assert_array_equal(batch.coarse_increments, redrawn_increments(batch))
 
-    def test_snapshot_indices(self):
+    def test_snapshot_differences_are_coarse_increments(self):
+        # unit diffusion: the state moves by the Brownian increment alone
         model = sde.ModelSpec.arithmetic_unit(0.0)
         grid = sde.GridSpec(1.0, 4, 2)
         batch = sde.simulate_batch(model, grid, 3, seed=5)
-        cs, _ = sde.coarsen(batch)
-        np.testing.assert_array_equal(cs, batch.states[:, [0, 2, 4], :])
+        snapshots = batch.states[:, ::grid.fine_per_segment]
+        assert snapshots.shape == (3, 3, 1)
+        np.testing.assert_allclose(np.diff(snapshots, axis=1), batch.coarse_increments,
+                                   rtol=1e-12, atol=1e-15)
 
     def test_coarse_increments_telescope_to_terminal_displacement(self):
         model = sde.ModelSpec.arithmetic_unit(0.0, dim=2)
         grid = sde.GridSpec(1.0, 60, 12)
         batch = sde.simulate_batch(model, grid, 4, seed=9)
-        _, cw = sde.coarsen(batch)
-        np.testing.assert_allclose(cw.sum(axis=1),
+        np.testing.assert_allclose(batch.coarse_increments.sum(axis=1),
                                    redrawn_increments(batch).sum(axis=1),
                                    rtol=1e-12, atol=1e-15)
-
-    def test_mismatched_grid_rejected(self):
-        model = sde.ModelSpec.arithmetic_unit(0.0)
-        batch = sde.simulate_batch(model, sde.GridSpec(1.0, 8, 4), 2, seed=1)
-        with pytest.raises(sde.GridError):
-            sde.coarsen(batch, sde.GridSpec(1.0, 16, 4))
 
 
 class TestRunningFunctionals:

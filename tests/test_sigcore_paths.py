@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sigfbsde.sigcore import (AugmentedPath, DomainError, GridError,
-                              LogSignatureVector, ShapeMismatchError,
-                              checkpoint_signature_stream, log_signature,
-                              lyndon_count, lyndon_words, path_signature,
-                              segment_signature, sig_dim, signature_pullback,
-                              time_augment, truncated_exp, truncated_product)
-from conftest import central_difference
+from sigfbsde.sigcore import engine, lyndon
+from conftest import central_difference, signature
 
 
 def l_shaped_nodes():
@@ -18,165 +13,135 @@ def l_shaped_nodes():
 
 class TestPathSignature:
     def test_single_node_is_identity(self):
-        sig = path_signature(np.array([[3.0, 4.0]]), 3)
-        assert all(np.all(lvl == 0.0) for lvl in sig.levels)
-        assert sig.unit == 1.0
+        sig = signature(np.array([[3.0, 4.0]]), 3)
+        assert all(np.all(lvl == 0.0) for lvl in sig)
 
     def test_scalar_path_depends_only_on_total_increment(self):
-        sig = path_signature(np.array([0.0, 0.5, 2.0]), 3)
-        np.testing.assert_allclose(sig.flatten(), [2.0, 2.0, 4.0 / 3.0],
+        sig = signature(np.array([[0.0], [0.5], [2.0]]), 3)
+        np.testing.assert_allclose(engine.flatten_levels(sig), [2.0, 2.0, 4.0 / 3.0],
                                    rtol=1e-14)
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(DomainError):
-            path_signature(np.zeros((0, 2)), 2)
 
     def test_chen_identity_on_random_splits(self, rng):
         for _ in range(20):
             n = int(rng.integers(3, 10))
             nodes = rng.standard_normal((n, 2))
             cut = int(rng.integers(1, n - 1))
-            whole = path_signature(nodes, 3)
-            parts = truncated_product(path_signature(nodes[:cut + 1], 3),
-                                      path_signature(nodes[cut:], 3))
-            assert whole.allclose(parts, rtol=1e-12, atol=1e-14)
+            whole = signature(nodes, 3)
+            parts = engine.product(signature(nodes[:cut + 1], 3),
+                                   signature(nodes[cut:], 3))
+            for w, p in zip(whole, parts):
+                np.testing.assert_allclose(w, p, rtol=1e-12, atol=1e-14)
 
     def test_shuffle_relation_depth_two(self, rng):
         for _ in range(20):
             nodes = rng.standard_normal((6, 3))
-            sig = path_signature(nodes, 2)
-            lvl1 = sig.level(1)
-            lvl2 = sig.level(2).reshape(3, 3)
+            lvl1, lvl2 = signature(nodes, 2)
+            lvl2 = lvl2.reshape(3, 3)
             np.testing.assert_allclose(np.multiply.outer(lvl1, lvl1),
                                        lvl2 + lvl2.T, rtol=1e-12, atol=1e-14)
 
     def test_scalar_closed_form(self, rng):
         for _ in range(10):
-            nodes = np.cumsum(rng.standard_normal(7))
-            sig = path_signature(nodes, 5)
-            inc = nodes[-1] - nodes[0]
+            nodes = np.cumsum(rng.standard_normal(7))[:, None]
+            sig = engine.flatten_levels(signature(nodes, 5))
+            inc = nodes[-1, 0] - nodes[0, 0]
             expect = [inc ** k / math.factorial(k) for k in range(1, 6)]
-            np.testing.assert_allclose(sig.flatten(), expect,
-                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(sig, expect, rtol=1e-12, atol=1e-14)
 
 
 class TestTimeAugment:
-    def test_nodes_carry_time_in_channel_zero(self):
-        path = time_augment([0.0, 0.5, 1.0], [1.0, 2.0, 1.0])
-        np.testing.assert_array_equal(path.times, [0.0, 0.5, 1.0])
-        np.testing.assert_array_equal(
-            path.values, [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]])
+    @staticmethod
+    def augmented(times, values):
+        return np.stack([times, values], axis=1)
 
     def test_level_one_time_coefficient_is_elapsed_time(self):
-        path = time_augment([0.0, 0.25, 0.5, 1.0], [3.0, 1.0, 4.0, 1.0])
-        sig = path_signature(path, 2)
-        assert sig.level(1)[0] == 1.0
+        path = self.augmented([0.0, 0.25, 0.5, 1.0], [3.0, 1.0, 4.0, 1.0])
+        assert signature(path, 2)[0][0] == 1.0
 
     def test_constant_values_still_produce_signature(self):
-        path = time_augment([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
-        sig = path_signature(path, 2)
-        assert sig.level(1)[0] == 1.0
-        assert np.any(sig.level(2) != 0.0)
-
-    def test_non_increasing_times_rejected(self):
-        with pytest.raises(DomainError):
-            time_augment([0.0, 0.5, 0.5], [1.0, 2.0, 3.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            time_augment([0.0, 1.0], [1.0, 2.0, 3.0])
+        path = self.augmented([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
+        lvl1, lvl2 = signature(path, 2)
+        assert lvl1[0] == 1.0
+        assert np.any(lvl2 != 0.0)
 
 
 class TestCheckpointStream:
     def test_first_entry_is_identity(self, rng):
         nodes = rng.standard_normal((9, 2))
-        stream = checkpoint_signature_stream(nodes, 4, 3)
-        assert all(np.all(lvl == 0.0) for lvl in stream[0].levels)
+        stream = engine.checkpoint_scan(np.diff(nodes, axis=0), 4, 3)
+        assert all(np.all(lvl[0] == 0.0) for lvl in stream)
 
     def test_entries_match_from_scratch_prefixes(self, rng):
         nodes = rng.standard_normal((13, 2))
-        stream = checkpoint_signature_stream(nodes, 3, 3)
-        assert len(stream) == 5
-        for seg, entry in enumerate(stream):
-            scratch = path_signature(nodes[:seg * 3 + 1], 3)
-            assert entry.allclose(scratch, rtol=1e-12, atol=1e-13)
+        stream = engine.checkpoint_scan(np.diff(nodes, axis=0), 3, 3)
+        assert all(lvl.shape[0] == 5 for lvl in stream)
+        for seg in range(5):
+            scratch = signature(nodes[:seg * 3 + 1], 3)
+            for entry, want in zip(stream, scratch):
+                np.testing.assert_allclose(entry[seg], want, rtol=1e-12, atol=1e-13)
 
     def test_scalar_level_one_prefix_increments(self):
-        nodes = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        stream = checkpoint_signature_stream(nodes, 2, 1)
-        np.testing.assert_allclose([s.level(1)[0] for s in stream],
-                                   [0.0, 2.0, 4.0])
+        nodes = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        (lvl1,) = engine.checkpoint_scan(np.diff(nodes, axis=0), 2, 1)
+        np.testing.assert_allclose(lvl1[:, 0], [0.0, 2.0, 4.0])
 
     def test_indivisible_grid_rejected(self):
-        with pytest.raises(GridError):
-            checkpoint_signature_stream(np.zeros((6, 1)), 4, 2)
+        with pytest.raises(ValueError):
+            engine.checkpoint_scan(np.zeros((5, 1)), 4, 2)
 
 
 class TestLogSignature:
     def test_single_segment_only_level_one(self, rng):
         start = rng.standard_normal(2)
         end = start + np.array([0.3, -0.7])
-        logsig = log_signature(np.stack([start, end]), 3)
-        np.testing.assert_allclose(logsig.coefficients[:2], end - start,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(logsig.coefficients[2:], 0.0, atol=1e-14)
+        log = engine.log_of_group(signature(np.stack([start, end]), 3))
+        logsig = lyndon.project(log, 2, 3)
+        np.testing.assert_allclose(logsig[:2], end - start, rtol=1e-12)
+        np.testing.assert_allclose(logsig[2:], 0.0, atol=1e-14)
 
     def test_l_shaped_path_coefficients(self):
-        logsig = log_signature(l_shaped_nodes(), 2)
-        assert logsig.words() == [(1,), (2,), (1, 2)]
-        np.testing.assert_allclose(logsig.coefficients, [1.0, 1.0, 0.5],
-                                   rtol=1e-12)
+        logsig = lyndon.project(engine.log_of_group(signature(l_shaped_nodes(), 2)), 2, 2)
+        assert lyndon.lyndon_words(2, 2) == [(1,), (2,), (1, 2)]
+        np.testing.assert_allclose(logsig, [1.0, 1.0, 0.5], rtol=1e-12)
 
     def test_dimension_follows_witt_count(self):
-        logsig = log_signature(np.zeros((4, 2)) + np.arange(4)[:, None], 3)
-        assert logsig.coefficients.shape == (5,)
-        assert lyndon_count(2, 3) == 5
-        assert lyndon_words(2, 3) == [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]
-
-    def test_expand_and_exponentiate_recovers_signature(self, rng):
-        for d, m in ((2, 3), (3, 2), (2, 4)):
-            nodes = rng.standard_normal((6, d))
-            sig = path_signature(nodes, m)
-            logsig = log_signature(nodes, m)
-            rebuilt = truncated_exp(logsig.to_tensor())
-            assert rebuilt.allclose(sig, rtol=1e-12, atol=1e-12)
-
-    def test_coefficient_count_validation(self):
-        with pytest.raises(ShapeMismatchError):
-            LogSignatureVector(2, 3, np.zeros(4))
+        nodes = np.zeros((4, 2)) + np.arange(4)[:, None]
+        logsig = lyndon.project(engine.log_of_group(signature(nodes, 3)), 2, 3)
+        assert logsig.shape == (5,)
+        assert lyndon.lyndon_count(2, 3) == 5
+        assert lyndon.lyndon_words(2, 3) == [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]
 
 
 class TestSignaturePullback:
+    """Node gradients of ``<cot, signature(nodes)>``: the one-block reverse
+    pass, then increments to nodes."""
+
     def test_depth_one_gradient_is_pm_one(self):
         nodes = np.array([[0.2], [0.9], [0.4]])
-        grad = signature_pullback(nodes, 1, np.array([1.0]))
+        grad = engine.increments_to_nodes_grad(
+            engine.block_signatures_vjp(np.diff(nodes, axis=0), 1, [np.array([1.0])]))
         np.testing.assert_allclose(grad, [[-1.0], [0.0], [1.0]])
 
     def test_single_segment_level_two_gradient(self):
         delta = 0.7
         nodes = np.array([[0.1], [0.1 + delta]])
-        cot = np.array([0.0, 1.0])  # weight on the level-2 coefficient
-        grad = signature_pullback(nodes, 2, cot)
+        cot = [np.array([0.0]), np.array([1.0])]  # weight on the level-2 coefficient
+        grad = engine.increments_to_nodes_grad(
+            engine.block_signatures_vjp(np.diff(nodes, axis=0), 2, cot))
         np.testing.assert_allclose(grad, [[-delta], [delta]], rtol=1e-12)
 
     def test_matches_central_differences(self, rng):
         nodes = rng.standard_normal((6, 2))
-        cot = rng.standard_normal(sig_dim(2, 3))
+        cot = rng.standard_normal(engine.sig_width(2, 3))
 
         def objective(x):
-            return float(cot @ path_signature(x, 3).flatten())
+            return float(cot @ engine.flatten_levels(signature(x, 3)))
 
-        grad = signature_pullback(nodes, 3, cot)
+        grad = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
+            np.diff(nodes, axis=0), 3, engine.split_flat(cot, 2, 3)))
         numeric = central_difference(objective, nodes.copy())
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7)
 
     def test_cotangent_shape_checked(self):
-        with pytest.raises(ShapeMismatchError):
-            signature_pullback(np.zeros((3, 2)), 2, np.zeros(5))
-
-
-class TestAugmentedPathValidation:
-    def test_channel_zero_must_match_times(self):
-        with pytest.raises(DomainError):
-            AugmentedPath(np.array([0.0, 1.0]),
-                          np.array([[0.0, 1.0], [0.9, 2.0]]))
+        with pytest.raises(ValueError):
+            engine.split_flat(np.zeros(5), 2, 2)

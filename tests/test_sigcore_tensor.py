@@ -1,135 +1,103 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfbsde.sigcore import (DomainError, ShapeMismatchError,
-                              TruncatedTensorSeries, segment_signature,
-                              sig_dim, truncated_exp, truncated_log,
-                              truncated_product)
 from sigfbsde import sde
 from sigfbsde.sigcore import engine, lyndon
-from conftest import central_difference
+from conftest import central_difference, signature
 
 
-def series(unit, *levels):
-    return TruncatedTensorSeries.from_levels(unit, [np.asarray(l, dtype=float)
-                                                    for l in levels])
+def random_levels(rng, batch, channels, depth, scale=0.5):
+    return [scale * rng.standard_normal(batch + (channels ** k,))
+            for k in range(1, depth + 1)]
 
 
-def random_group_series(rng, channels, depth, scale=0.5):
-    levels = [scale * rng.standard_normal(channels ** k)
-              for k in range(1, depth + 1)]
-    return TruncatedTensorSeries.from_levels(1.0, levels)
+def as_levels(*levels):
+    return [np.asarray(lvl, dtype=float) for lvl in levels]
 
 
-def random_lie_series(rng, channels, depth, scale=0.5):
-    levels = [scale * rng.standard_normal(channels ** k)
-              for k in range(1, depth + 1)]
-    return TruncatedTensorSeries.from_levels(0.0, levels)
+def levels_close(a, b, rtol=1e-12, atol=1e-14):
+    return len(a) == len(b) and all(np.allclose(x, y, rtol=rtol, atol=atol)
+                                    for x, y in zip(a, b))
 
 
 class TestSigDim:
     def test_two_channels_depth_two(self):
-        assert sig_dim(2, 2) == 6
+        assert engine.sig_width(2, 2) == 6
 
     def test_scalar_depth_three(self):
-        assert sig_dim(1, 3) == 3
+        assert engine.sig_width(1, 3) == 3
 
     def test_three_channels_depth_two(self):
-        assert sig_dim(3, 2) == 12
+        assert engine.sig_width(3, 2) == 12
 
     def test_matches_geometric_sum(self):
         for d in range(1, 6):
             for m in range(1, 5):
-                assert sig_dim(d, m) == sum(d ** k for k in range(1, m + 1))
+                assert engine.sig_width(d, m) == sum(d ** k for k in range(1, m + 1))
 
 
 class TestProduct:
     def test_unit_plus_letters(self):
         # (1 + e1)(1 + e2) = 1 + e1 + e2 + e1 e2
-        a = series(1.0, [1.0, 0.0], [0.0] * 4)
-        b = series(1.0, [0.0, 1.0], [0.0] * 4)
-        out = truncated_product(a, b)
-        assert out.unit == 1.0
-        np.testing.assert_allclose(out.level(1), [1.0, 1.0])
-        np.testing.assert_allclose(out.level(2), [0.0, 1.0, 0.0, 0.0])
+        a = as_levels([1.0, 0.0], [0.0] * 4)
+        b = as_levels([0.0, 1.0], [0.0] * 4)
+        out = engine.product(a, b)
+        np.testing.assert_allclose(out[0], [1.0, 1.0])
+        np.testing.assert_allclose(out[1], [0.0, 1.0, 0.0, 0.0])
 
     def test_identity_is_neutral(self, rng):
         for _ in range(10):
-            a = random_group_series(rng, 2, 3)
-            e = TruncatedTensorSeries.identity(2, 3)
-            assert truncated_product(a, e).allclose(a)
-            assert truncated_product(e, a).allclose(a)
+            a = random_levels(rng, (), 2, 3)
+            e = engine.identity_levels((), 2, 3)
+            assert levels_close(engine.product(a, e), a)
+            assert levels_close(engine.product(e, a), a)
 
     def test_scalar_exponentials_compose(self, rng):
         # one-channel exp series multiply by adding increments
         for _ in range(10):
             p, q = rng.standard_normal(2)
-            a = truncated_exp(series(0.0, [p], [0.0]))
-            b = truncated_exp(series(0.0, [q], [0.0]))
-            out = truncated_product(a, b)
-            np.testing.assert_allclose(out.level(1), [p + q], rtol=1e-12)
-            np.testing.assert_allclose(out.level(2), [(p + q) ** 2 / 2.0],
-                                       rtol=1e-12)
-
-    def test_mismatched_operands_raise(self):
-        a = TruncatedTensorSeries.identity(2, 2)
-        b = TruncatedTensorSeries.identity(3, 2)
-        c = TruncatedTensorSeries.identity(2, 3)
-        with pytest.raises(ShapeMismatchError):
-            truncated_product(a, b)
-        with pytest.raises(ShapeMismatchError):
-            truncated_product(a, c)
+            a = engine.exp_of_lie(as_levels([p], [0.0]))
+            b = engine.exp_of_lie(as_levels([q], [0.0]))
+            out = engine.product(a, b)
+            np.testing.assert_allclose(out[0], [p + q], rtol=1e-12)
+            np.testing.assert_allclose(out[1], [(p + q) ** 2 / 2.0], rtol=1e-12)
 
 
 class TestExp:
     def test_scalar_levels_are_powers_over_factorials(self):
-        v = series(0.0, [2.0], [0.0], [0.0])
-        out = truncated_exp(v)
-        np.testing.assert_allclose(out.flatten(), [2.0, 2.0, 4.0 / 3.0],
+        out = engine.exp_of_lie(as_levels([2.0], [0.0], [0.0]))
+        np.testing.assert_allclose(engine.flatten_levels(out), [2.0, 2.0, 4.0 / 3.0],
                                    rtol=1e-14)
 
     def test_zero_maps_to_identity(self):
-        v = TruncatedTensorSeries.zero(3, 2)
-        assert truncated_exp(v).allclose(TruncatedTensorSeries.identity(3, 2))
+        zero = engine.identity_levels((), 3, 2)
+        assert levels_close(engine.exp_of_lie(zero), engine.identity_levels((), 3, 2))
 
     def test_level_two_is_half_outer_product(self):
-        v = series(0.0, [1.0, 2.0], [0.0] * 4)
-        out = truncated_exp(v)
-        np.testing.assert_allclose(out.level(1), [1.0, 2.0])
-        np.testing.assert_allclose(out.level(2), [0.5, 1.0, 1.0, 2.0],
-                                   rtol=1e-14)
-
-    def test_requires_lie_like_input(self):
-        with pytest.raises(DomainError):
-            truncated_exp(TruncatedTensorSeries.identity(2, 2))
+        out = engine.exp_of_lie(as_levels([1.0, 2.0], [0.0] * 4))
+        np.testing.assert_allclose(out[0], [1.0, 2.0])
+        np.testing.assert_allclose(out[1], [0.5, 1.0, 1.0, 2.0], rtol=1e-14)
 
 
 class TestLog:
     def test_log_of_identity_is_zero(self):
-        out = truncated_log(TruncatedTensorSeries.identity(2, 3))
-        assert out.unit == 0.0
-        assert all(np.all(lvl == 0.0) for lvl in out.levels)
+        out = engine.log_of_group(engine.identity_levels((), 2, 3))
+        assert all(np.all(lvl == 0.0) for lvl in out)
 
     def test_inverts_exp_on_lie_elements(self, rng):
         for depth in (1, 2, 3):
             for _ in range(5):
-                v = random_lie_series(rng, 2, depth)
-                assert truncated_log(truncated_exp(v)).allclose(v, rtol=1e-12)
+                v = random_levels(rng, (), 2, depth)
+                assert levels_close(engine.log_of_group(engine.exp_of_lie(v)), v)
 
     def test_l_shaped_path_gives_antisymmetric_level_two(self):
-        right = segment_signature([0.0, 0.0], [1.0, 0.0], 2)
-        up = segment_signature([1.0, 0.0], [1.0, 1.0], 2)
-        log = truncated_log(truncated_product(right, up))
-        np.testing.assert_allclose(log.level(2), [0.0, 0.5, -0.5, 0.0],
-                                   atol=1e-15)
-
-    def test_requires_group_like_input(self):
-        with pytest.raises(DomainError):
-            truncated_log(TruncatedTensorSeries.zero(2, 2))
+        right = engine.segment_exp(np.array([1.0, 0.0]), 2)
+        up = engine.segment_exp(np.array([0.0, 1.0]), 2)
+        log = engine.log_of_group(engine.product(right, up))
+        np.testing.assert_allclose(log[1], [0.0, 0.5, -0.5, 0.0], atol=1e-15)
 
 
 class TestRoundTrips:
@@ -139,12 +107,12 @@ class TestRoundTrips:
         for d in (1, 2, 3):
             for m in (1, 2, 3, 4, 5):
                 for _ in range(7):
-                    v = random_lie_series(rng, d, m)
-                    assert truncated_log(truncated_exp(v)).allclose(
-                        v, rtol=1e-12, atol=1e-12)
-                    s = truncated_exp(random_lie_series(rng, d, m))
-                    assert truncated_exp(truncated_log(s)).allclose(
-                        s, rtol=1e-12, atol=1e-12)
+                    v = random_levels(rng, (), d, m)
+                    assert levels_close(engine.log_of_group(engine.exp_of_lie(v)), v,
+                                        rtol=1e-12, atol=1e-12)
+                    s = engine.exp_of_lie(random_levels(rng, (), d, m))
+                    assert levels_close(engine.exp_of_lie(engine.log_of_group(s)), s,
+                                        rtol=1e-12, atol=1e-12)
                     cases += 1
         assert cases >= 100
 
@@ -169,36 +137,23 @@ class TestLogVjp:
 
 class TestSegmentSignature:
     def test_degenerate_segment_is_identity(self):
-        out = segment_signature([1.0, 2.0], [1.0, 2.0], 3)
-        assert out.allclose(TruncatedTensorSeries.identity(2, 3))
+        out = engine.segment_exp(np.zeros(2), 3)
+        assert levels_close(out, engine.identity_levels((), 2, 3))
 
     def test_scalar_segment(self):
-        out = segment_signature([0.0], [2.0], 3)
-        np.testing.assert_allclose(out.flatten(), [2.0, 2.0, 4.0 / 3.0],
+        out = engine.segment_exp(np.array([2.0]), 3)
+        np.testing.assert_allclose(engine.flatten_levels(out), [2.0, 2.0, 4.0 / 3.0],
                                    rtol=1e-14)
 
     def test_plane_segment_level_two(self):
-        out = segment_signature([0.0, 0.0], [1.0, 2.0], 2)
-        np.testing.assert_allclose(out.level(2), [0.5, 1.0, 1.0, 2.0],
-                                   rtol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            segment_signature([0.0], [1.0, 2.0], 2)
+        out = engine.segment_exp(np.array([1.0, 2.0]), 2)
+        np.testing.assert_allclose(out[1], [0.5, 1.0, 1.0, 2.0], rtol=1e-14)
 
 
 class TestValidation:
-    def test_wrong_block_size_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            TruncatedTensorSeries(2, 2, 1.0, (np.zeros(2), np.zeros(3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            TruncatedTensorSeries(1, 1, 1.0, (np.array([np.inf]),))
-
     def test_flatten_length_matches_sig_dim(self, rng):
-        s = random_group_series(rng, 3, 3)
-        assert s.flatten().shape == (sig_dim(3, 3),)
+        s = random_levels(rng, (), 3, 3)
+        assert engine.flatten_levels(s).shape == (engine.sig_width(3, 3),)
 
 
 _shapes = st.tuples(
@@ -323,11 +278,6 @@ _series = st.tuples(
     st.integers(0, 2 ** 32 - 1))                        # coefficient seed
 
 
-def random_levels(rng, batch, channels, depth, scale=0.5):
-    return [scale * rng.standard_normal(batch + (channels ** k,))
-            for k in range(1, depth + 1)]
-
-
 class TestAlgebraProperties:
     """Chen's identity, exp/log inversion and the log VJP over random shapes."""
 
@@ -372,31 +322,140 @@ class TestAlgebraProperties:
                                        rtol=1e-6, atol=1e-6)
 
 
-class TestLyndonBasis:
-    @pytest.mark.parametrize("d, m", [(2, 3), (3, 3), (2, 4), (4, 2), (5, 3)])
-    def test_expand_matches_dense_bracket_expansions(self, rng, d, m):
-        coefficients = rng.standard_normal((4, 3, lyndon.lyndon_count(d, m)))
-        got = lyndon.expand(coefficients, d, m)
-        cache, offset = {}, 0
-        for k in range(1, m + 1):
-            words = lyndon._lyndon_words_of_length(d, k)
-            dense = np.zeros((d ** k, len(words)))
-            for c, w in enumerate(words):
-                for v, coeff in lyndon._bracket_expansion(w, cache).items():
-                    dense[lyndon._word_offset(v, d), c] = coeff
-            want = coefficients[..., offset:offset + len(words)] @ dense.T
-            assert got[k - 1].tobytes() == want.tobytes()
-            offset += len(words)
+def is_lyndon(word) -> bool:
+    n = len(word)
+    return n > 0 and all(word < word[s:] + word[:s] for s in range(1, n))
 
-    def test_basis_holds_no_dense_expansion_block(self):
-        # at 21 channels and depth 3 the (21**3, 3080) expansion block is
-        # 228 MB; the (3080, 3080) solve matrix, which projection reads, is 76 MB
+
+def _concat_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            key = wa + wb
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _bracket_expansion(word, cache: dict) -> dict:
+    """Tensor expansion of the standard Lyndon bracketing of ``word``."""
+    if word in cache:
+        return cache[word]
+    if len(word) == 1:
+        exp = {word: 1}
+    else:
+        # standard factorisation: the longest proper Lyndon suffix
+        for s in range(1, len(word)):
+            if is_lyndon(word[s:]):
+                left, right = word[:s], word[s:]
+                break
+        el = _bracket_expansion(left, cache)
+        er = _bracket_expansion(right, cache)
+        exp = _concat_product(el, er)
+        for key, coeff in _concat_product(er, el).items():
+            exp[key] = exp.get(key, 0) - coeff
+            if exp[key] == 0:
+                del exp[key]
+    cache[word] = exp
+    return exp
+
+
+def word_offset(word, channels: int) -> int:
+    return int(np.ravel_multi_index(np.array(word) - 1, (channels,) * len(word)))
+
+
+def bracket_expansions(channels: int, k: int) -> np.ndarray:
+    """Dense ``(channels**k, n_words)`` tensor expansions of the bracketings
+    of the length-``k`` Lyndon words, one column per word."""
+    words = [w for w in lyndon.lyndon_words(channels, k) if len(w) == k]
+    dense = np.zeros((channels ** k, len(words)))
+    cache: dict = {}
+    for c, w in enumerate(words):
+        for v, coeff in _bracket_expansion(w, cache).items():
+            dense[word_offset(v, channels), c] = coeff
+    return dense
+
+
+def unit_lower_solve(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x`` with ``x @ tri.T == rhs`` for a unit lower-triangular ``tri``."""
+    x = np.array(rhs, dtype=float)
+    for i in range(tri.shape[0]):
+        x[..., i] -= x[..., :i] @ tri[i, :i]
+    return x
+
+
+def bracket_coordinates(coords: np.ndarray, channels: int, depth: int):
+    """Bracket-basis coordinates and dense bracketings of each level, from
+    the coefficients at the Lyndon words.
+
+    Those coefficients are the bracket coordinates times the bracketings'
+    rows at the Lyndon positions: a unit lower-triangular matrix, since a
+    bracketing is its word plus larger anagrams.
+    """
+    out, offset = [], 0
+    for k, level in enumerate(lyndon.basis(channels, depth), start=1):
+        dense = bracket_expansions(channels, k)
+        n_w = dense.shape[1]
+        tri = dense[level.positions]
+        assert not np.any(np.triu(tri, 1)) and np.all(np.diag(tri) == 1.0)
+        out.append((unit_lower_solve(tri, coords[..., offset:offset + n_w]), dense))
+        offset += n_w
+    return out
+
+
+_projections = st.tuples(
+    st.integers(1, 5),                                  # channels
+    st.integers(1, 4),                                  # depth
+    st.lists(st.integers(1, 2), min_size=0, max_size=2).map(tuple),  # batch axes
+    st.integers(0, 2 ** 32 - 1))                        # coefficient seed
+
+
+class TestLyndonBasis:
+    @given(_projections)
+    def test_project_gathers_the_lyndon_words_and_its_vjp_scatters(self, shape):
+        d, depth, batch, seed = shape
+        rng = np.random.default_rng(seed)
+        levels = random_levels(rng, batch, d, depth)
+        words = lyndon.lyndon_words(d, depth)
+        assert all(map(is_lyndon, words)) and len(words) == lyndon.lyndon_count(d, depth)
+        want = np.stack([levels[len(w) - 1][..., word_offset(w, d)] for w in words],
+                        axis=-1)
+        assert lyndon.project(levels, d, depth).tobytes() == want.tobytes()
+        cot = rng.standard_normal(batch + (len(words),))
+        scattered = [np.zeros(lvl.shape) for lvl in levels]
+        for i, w in enumerate(words):
+            scattered[len(w) - 1][..., word_offset(w, d)] = cot[..., i]
+        got = lyndon.project_vjp(cot, d, depth)
+        assert [g.tobytes() for g in got] == [s.tobytes() for s in scattered]
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 3)])
+    def test_coordinates_rebuild_the_log_and_exponentiate_to_the_signature(self, rng,
+                                                                         d, m):
+        nodes = rng.standard_normal((6, d))
+        sig = signature(nodes, m)
+        coords = lyndon.project(engine.log_of_group(sig), d, m)
+        log = [dense @ lie for lie, dense in bracket_coordinates(coords, d, m)]
+        for got, want in zip(engine.exp_of_lie(log), sig):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("d, m", [(2, 2), (2, 3), (6, 2), (21, 2)])
+    def test_gather_is_the_bracket_coordinates_at_the_workload_shapes(self, rng, d, m):
+        # the bracketings are the identity at the Lyndon positions here, so
+        # the features the workloads train on are bracket coordinates too
+        for k, level in enumerate(lyndon.basis(d, m), start=1):
+            tri = bracket_expansions(d, k)[level.positions]
+            np.testing.assert_array_equal(tri, np.eye(len(level.words)))
+        coords = lyndon.project(random_levels(rng, (4, 3), d, m), d, m)
+        lie = np.concatenate([c for c, _ in bracket_coordinates(coords, d, m)], axis=-1)
+        assert lie.tobytes() == coords.tobytes()
+
+    def test_basis_peaks_below_two_megabytes(self):
+        # quadratic d=20 at depth 3: 3080 words of length 3 and their
+        # positions, with no matrix to build
         tracemalloc.start()
         try:
             levels = lyndon.basis.__wrapped__(21, 3)
-            held = tracemalloc.get_traced_memory()[0]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        dense = 21 ** 3 * len(levels[2].words) * 8
-        solve = sum(level.solve_matrix.nbytes for level in levels)
-        assert held <= solve + 0.05 * dense
+        assert [len(level.words) for level in levels] == [21, 210, 3080]
+        assert peak < 2 * 2 ** 20

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigfbsde import net, oracle, sde, solver
-from sigfbsde.sigcore import engine, log_signature, lyndon, path_signature, time_augment
+from sigfbsde.sigcore import engine, lyndon
+from conftest import signature
 from conftest import central_difference
 
 
@@ -152,11 +153,13 @@ class TestFeatures:
         for n in (1, 4, 9):
             end = n * grid.fine_per_segment + 1
             for j in (0, 3):
-                prefix = time_augment(times[:end], rescaled[j, :end])
+                prefix = np.concatenate([times[:end, None], rescaled[j, :end]], axis=1)
+                levels = signature(prefix, depth)
                 if feature == "signature":
-                    expect = path_signature(prefix, depth).flatten()
+                    expect = engine.flatten_levels(levels)
                 else:
-                    expect = log_signature(prefix, depth).coefficients
+                    expect = lyndon.project(engine.log_of_group(levels),
+                                            prefix.shape[1], depth)
                 np.testing.assert_allclose(first_layer_input[n, j], expect,
                                            rtol=1e-12, atol=1e-13)
 
@@ -342,8 +345,8 @@ class TestForwardIteration:
                 stacked[n] = value
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 31)
         features, _ = solver.features_for_batch(state, batch, spec)
-        _, coarse_incs = sde.coarsen(batch)
-        ys, _, _, _ = solver.rollout(state, spec, batch, features, coarse_incs)
+        ys, _, _, _ = solver.rollout(state, spec, batch, features,
+                                     batch.coarse_increments)
         gains = ys[:, -1] - ys[:, 0]
         bound = 3.0 * gains.std(ddof=1) / np.sqrt(spec.batch_size)
         assert abs(gains.mean()) <= bound
@@ -372,10 +375,9 @@ class TestBackwardIteration:
         force_constant_output(state, 1.0)
         batch = sde.simulate_batch(model, grid, 32, 17)
         features, _ = solver.features_for_batch(state, batch, spec)
-        _, coarse_incs = sde.coarsen(batch)
         y = batch.states[:, -1, 0].copy()
         for n in range(grid.n_coarse, 0, -1):
-            y = y - coarse_incs[:, n - 1, 0]
+            y = y - batch.coarse_increments[:, n - 1, 0]
         np.testing.assert_allclose(y, 1.5, rtol=0, atol=1e-12)
 
     def test_estimate_is_batch_mean(self):
@@ -383,8 +385,8 @@ class TestBackwardIteration:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 11)
         features, _ = solver.features_for_batch(state, batch, spec)
-        _, coarse_incs = sde.coarsen(batch)
-        ys, _, _, _ = solver.rollout(state, spec, batch, features, coarse_incs)
+        ys, _, _, _ = solver.rollout(state, spec, batch, features,
+                                     batch.coarse_increments)
         _, _, estimate = solver.train_step(state, spec, 11, update=False)
         assert abs(estimate - ys[:, 0].mean()) < 1e-14
 
@@ -397,8 +399,8 @@ class TestReflectedIteration:
             solver.train_step(state, spec, 100 + it)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 999)
         features, _ = solver.features_for_batch(state, batch, spec)
-        _, coarse_incs = sde.coarsen(batch)
-        ys, _, _, _ = solver.rollout(state, spec, batch, features, coarse_incs)
+        ys, _, _, _ = solver.rollout(state, spec, batch, features,
+                                     batch.coarse_increments)
         _, exercise = spec.payoff.values(batch)
         assert np.min(ys - exercise) >= 0.0
 
