@@ -49,6 +49,20 @@ class TestPathSignature:
             np.testing.assert_allclose(sig, expect, rtol=1e-12, atol=1e-14)
 
 
+    def test_reversed_path_inverts_signature(self, rng):
+        for _ in range(10):
+            nodes = rng.standard_normal((7, 2))
+            there_and_back = engine.product(signature(nodes, 4), signature(nodes[::-1], 4))
+            for lvl in there_and_back:
+                np.testing.assert_allclose(lvl, 0.0, atol=1e-12)
+
+    def test_translation_does_not_change_signature(self, rng):
+        nodes = rng.standard_normal((6, 3))
+        for moved, still in zip(signature(nodes + np.array([2.0, -1.0, 0.5]), 3),
+                                signature(nodes, 3)):
+            np.testing.assert_allclose(moved, still, rtol=1e-12, atol=1e-14)
+
+
 class TestTimeAugment:
     @staticmethod
     def augmented(times, values):
@@ -111,6 +125,12 @@ class TestLogSignature:
         assert lyndon.lyndon_count(2, 3) == 5
         assert lyndon.lyndon_words(2, 3) == [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]
 
+    def test_witt_count_matches_enumeration(self):
+        for d in range(1, 5):
+            for m in range(1, 6):
+                words = lyndon.lyndon_words(d, m)
+                assert len(set(words)) == len(words) == lyndon.lyndon_count(d, m)
+
 
 class TestSignaturePullback:
     """Node gradients of ``<cot, signature(nodes)>``: the one-block reverse
@@ -141,6 +161,14 @@ class TestSignaturePullback:
             np.diff(nodes, axis=0), 3, engine.split_flat(cot, 2, 3)))
         numeric = central_difference(objective, nodes.copy())
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7)
+
+    def test_node_gradient_sums_to_zero(self, rng):
+        # the signature ignores a common shift of the nodes
+        nodes = rng.standard_normal((5, 2))
+        cot = engine.split_flat(rng.standard_normal(engine.sig_width(2, 3)), 2, 3)
+        grad = engine.increments_to_nodes_grad(
+            engine.block_signatures_vjp(np.diff(nodes, axis=0), 3, cot))
+        np.testing.assert_allclose(grad.sum(axis=0), 0.0, atol=1e-12)
 
     def test_cotangent_shape_checked(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,11 @@ class TestSigDim:
             for m in range(1, 5):
                 assert engine.sig_width(d, m) == sum(d ** k for k in range(1, m + 1))
 
+    def test_non_positive_arguments_rejected(self):
+        for channels, depth in ((0, 2), (2, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                engine.sig_width(channels, depth)
+
 
 class TestProduct:
     def test_unit_plus_letters(self):
@@ -64,6 +69,39 @@ class TestProduct:
             out = engine.product(a, b)
             np.testing.assert_allclose(out[0], [p + q], rtol=1e-12)
             np.testing.assert_allclose(out[1], [(p + q) ** 2 / 2.0], rtol=1e-12)
+
+    def test_lie_like_units_keep_only_the_cross_terms(self, rng):
+        # with both units 0, v ⊗ v has no level one and v1 ⊗ v1 at level two
+        v = random_levels(rng, (3,), 2, 3)
+        out = engine.product(v, v, 0.0, 0.0)
+        np.testing.assert_array_equal(out[0], 0.0)
+        np.testing.assert_allclose(out[1], np.einsum("bi,bj->bij", v[0], v[0])
+                                   .reshape(3, 4), rtol=1e-14)
+
+    def test_product_vjp_matches_central_differences(self, rng):
+        for unit_a, unit_b in ((1.0, 1.0), (0.0, 1.0), (0.0, 0.0)):
+            a = random_levels(rng, (2,), 2, 3)
+            b = random_levels(rng, (2,), 2, 3)
+            cot = [rng.standard_normal(lvl.shape) for lvl in a]
+
+            def objective(_):
+                return float(sum(np.sum(c * lvl) for c, lvl in
+                                 zip(cot, engine.product(a, b, unit_a, unit_b))))
+
+            grad_a, grad_b = engine.product_vjp(a, b, cot, unit_a, unit_b)
+            for levels, grads in ((a, grad_a), (b, grad_b)):
+                for level, grad in zip(levels, grads):
+                    np.testing.assert_allclose(grad, central_difference(objective, level),
+                                               rtol=1e-6, atol=1e-8)
+
+
+class TestChenStep:
+    def test_matches_product_with_segment_exp(self, rng):
+        for depth in (1, 2, 3, 4):
+            levels = engine.exp_of_lie(random_levels(rng, (4,), 3, depth))
+            inc = rng.standard_normal((4, 3))
+            want = engine.product(levels, engine.segment_exp(inc, depth))
+            assert levels_close(engine.chen_step(levels, inc), want)
 
 
 class TestExp:
@@ -154,6 +192,17 @@ class TestValidation:
     def test_flatten_length_matches_sig_dim(self, rng):
         s = random_levels(rng, (), 3, 3)
         assert engine.flatten_levels(s).shape == (engine.sig_width(3, 3),)
+
+    def test_split_flat_inverts_flatten_on_batched_levels(self, rng):
+        levels = random_levels(rng, (2, 5), 3, 3)
+        back = engine.split_flat(engine.flatten_levels(levels), 3, 3)
+        assert [b.tobytes() for b in back] == [lvl.tobytes() for lvl in levels]
+
+    def test_copy_levels_is_independent(self, rng):
+        levels = random_levels(rng, (), 2, 2)
+        copied = engine.copy_levels(levels)
+        copied[1][0] += 1.0
+        assert copied[1][0] == levels[1][0] + 1.0
 
 
 _shapes = st.tuples(
