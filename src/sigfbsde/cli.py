@@ -191,15 +191,15 @@ def _selftest_checks():
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 8, seed=6)
         cot = rng.standard_normal((3, 8, spec.feature_width))
-        runs, default = [], solver.FEATURE_CHUNK_PATHS
+        runs, default = [], solver.FEATURE_CHUNK_VALUES
         try:
             for chunk in (3, 8):
-                solver.FEATURE_CHUNK_PATHS = chunk
+                solver.FEATURE_CHUNK_VALUES = chunk * solver._values_per_path(spec, spec.grid)
                 features, cache = solver.features_for_batch(state, batch, spec)
                 grad = solver.features_backward(state, spec, cache, cot)[0]
                 runs.append((len(cache.chunks), features.tobytes(), grad.tobytes()))
         finally:
-            solver.FEATURE_CHUNK_PATHS = default
+            solver.FEATURE_CHUNK_VALUES = default
         (parts, *split), (one, *whole) = runs
         return parts == 3 and one == 1 and split == whole
 

@@ -228,10 +228,12 @@ def _backward_dates(params: MlpParams, x: np.ndarray, buffers: dict, cotangent: 
 
 
 def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
-                 need_input_grad: bool):
+                 need_input_grad: bool, out: list | None = None):
     """Exact reverse pass; returns ``(grads, input_grad)``.
 
-    ``grads`` aligns with :meth:`MlpParams.parameters`.  Gradients are summed
+    ``grads`` aligns with :meth:`MlpParams.parameters`: the arrays of
+    ``out`` when given (C-contiguous, of the parameters' shapes), which
+    are written in place, else new ones.  Gradients are summed
     over the batch axes of the cotangent, per net of a stack.  ``input_grad``
     is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`;
     it is ``None`` unless ``need_input_grad``, which skips the layer-0
@@ -243,7 +245,15 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
     if cotangent.shape != x.shape[:-1] + (params.spec.out_dim,):
         raise ValueError(f"cotangent shape {cotangent.shape} does not match output "
                          f"{x.shape[:-1] + (params.spec.out_dim,)}")
-    grads = [np.empty(p.shape) for p in params.parameters()]
+    if out is None:
+        grads = [np.empty(p.shape) for p in params.parameters()]
+    elif len(out) != len(params.parameters()) or any(
+            g.shape != p.shape or not g.flags.c_contiguous
+            for g, p in zip(out, params.parameters())):
+        raise ValueError("gradient outputs must be C-contiguous arrays of the "
+                         "parameters' shapes")
+    else:
+        grads = out
     input_grad = np.empty(x.shape) if need_input_grad else None
     sde._run_blocks(functools.partial(_backward_dates, params, x, buffers, cotangent, grads,
                                       input_grad),

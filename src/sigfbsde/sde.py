@@ -20,7 +20,6 @@ of this module; every bit is the same whatever the thread count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,13 +219,15 @@ def _run_blocks(work, blocks: list):
 
     The calling thread runs the first block; the others go to threads of a
     pool made for this call, since a module-level one would reach the
-    harness's forked worker processes with its threads dead.  A worker's
-    error is raised here.  ``work`` calls no public function of the package,
-    so every traced call stays on the calling thread.
+    harness's forked worker processes with its threads dead.  The pool's
+    module is imported here, so a process that never splits never loads it.
+    A worker's error is raised here.  ``work`` calls no public function of
+    the package, so every traced call stays on the calling thread.
     """
     if len(blocks) == 1:
         work(*blocks[0])
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=len(blocks) - 1) as pool:
         futures = [pool.submit(work, a, b) for a, b in blocks[1:]]
         work(*blocks[0])
@@ -280,7 +281,11 @@ def running_integral(batch: PathBatch, weights) -> np.ndarray:
     Entry 0 is 0; entry ``n_fine`` approximates the integral over the full
     horizon.  Shape ``(B, n_fine+1)``.
     """
-    weighted = batch.states @ np.asarray(weights, dtype=float)
-    out = np.zeros(weighted.shape)
-    np.cumsum(weighted[:, :-1] * batch.grid.h, axis=1, out=out[:, 1:])
+    out = batch.states @ np.asarray(weights, dtype=float)
+    # in the one buffer: the weighted states shifted right by one step, times
+    # h and summed from entry 1, which takes no 0 + x step (a -0.0 stays -0.0)
+    out[:, 1:] = out[:, :-1]
+    out[:, 1:] *= batch.grid.h
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    out[:, 0] = 0.0
     return out

@@ -31,10 +31,12 @@ METHODS = ("forward", "backward", "reflected")
 FEATURE_KINDS = ("signature", "log-signature")
 PILOT_PATHS = 4096     # Monte Carlo paths behind the forward scheme's start value
 TAIL_FRACTION = 0.25   # trailing share of iterations averaged into the final estimate
-# The per-path feature stages run over chunks of at most this many paths, so
-# that their temporaries are chunk-sized, not batch-sized; placed from a sweep
-# of peak memory on the embedded d=100 desk batch (CHANGES.md).
-FEATURE_CHUNK_PATHS = 125
+# The per-path feature stages run over chunks of paths that together hold at
+# most this many values of their largest per-path array (_values_per_path),
+# so the temporaries stay bounded whatever the depth, channels and path
+# length; placed so that the embedded d=100 desk batch keeps the 125-path
+# chunks that a sweep of its peak memory chose (CHANGES.md).
+FEATURE_CHUNK_VALUES = 60_000
 
 
 class SolverAbort(RuntimeError):
@@ -332,6 +334,15 @@ def feature_input_scale(spec: ExperimentSpec) -> np.ndarray:
     return engine.flatten_levels(levels)
 
 
+def _values_per_path(spec: ExperimentSpec, grid: sde.GridSpec) -> int:
+    """Values per path of the feature stages' largest array: a scanned step
+    holds ``d̂**max(1, m-1)`` of them (the per-step terms of
+    :func:`engine.checkpoint_scan`) and the checkpoint levels ``N·d̂**m``."""
+    d_hat, depth = spec.stream_channels, spec.depth
+    n_scan = (grid.n_coarse - 1) * grid.fine_per_segment
+    return max(n_scan * d_hat ** max(1, depth - 1), grid.n_coarse * d_hat ** depth)
+
+
 def features_for_batch(state: TrainState, batch: sde.PathBatch,
                        spec: ExperimentSpec):
     """Per-date feature vectors for every path, shape ``(N, B, F)``.
@@ -345,11 +356,12 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
 
     Paths never mix, so the per-path stages (embedding, time augmentation,
     checkpoint scan, logarithm and Lyndon projection) run over contiguous
-    chunks of near-equal size and at most :data:`FEATURE_CHUNK_PATHS` paths,
-    one after another, each writing its rows of the features: the
-    temporaries are chunk-sized and every bit is the same as for the whole
-    batch at once.  No feature reads the last segment, so the stages run
-    over the path up to date ``N-1`` only.
+    chunks of near-equal size, one after another, each writing its rows of
+    the features.  A chunk has at most ``FEATURE_CHUNK_VALUES //
+    _values_per_path`` paths, and at least one: its temporaries are bounded
+    by a working set, not a path count, and every bit is the same as for
+    the whole batch at once.  No feature reads the last segment, so the
+    stages run over the path up to date ``N-1`` only.
     """
     grid, size = batch.grid, batch.batch_size
     d_hat, width = spec.stream_channels, spec.feature_width
@@ -357,7 +369,8 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     times = np.arange(n_scan + 1) * grid.h
     features = np.empty((grid.n_coarse, size, width))
     chunks = []
-    for start, stop in sde._blocks(size, -(-size // FEATURE_CHUNK_PATHS)):
+    paths = max(1, FEATURE_CHUNK_VALUES // _values_per_path(spec, grid))
+    for start, stop in sde._blocks(size, -(-size // paths)):
         rows = slice(start, stop)
         values = batch.states[rows, :n_scan + 1]
         if state.embedding is not None:
@@ -507,10 +520,9 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
                 adj = adj * masks[n]
             g_z[n] = sign * adj[:, None] * batch.coarse_increments[:, n, :]
             adj = adj * step_factor
-        grads, feature_cots = net.mlp_backward(state.nets, cache, g_z,
-                                               fcache is not None)
+        _, feature_cots = net.mlp_backward(state.nets, cache, g_z, fcache is not None,
+                                           out=state.grad.nets.parameters())
         del cache, features, zs, g_z   # spent; freed before the features' reverse pass
-        _assign(state.grad.nets.parameters(), grads)
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)
         if fcache is not None:

@@ -282,6 +282,16 @@ class TestCli:
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_imports_load_no_thread_pool(self):
+        # the thread pool's import is deferred to the first split into blocks
+        src = os.path.dirname(os.path.dirname(sigfbsde.__file__))
+        code = ("import sys, sigfbsde.harness, sigfbsde.solver; "
+                "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_validation_error_exit_two(self, capsys):
         code = cli.main(["run", "--experiment", "lookback",
                          "--set", "n_fine=2001"])

@@ -156,6 +156,34 @@ class TestMlpBackward:
         for g, k in zip(grads, kept):
             assert np.array_equal(g, k)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_gradients_written_in_place_are_bitwise(self, rng, stacked):
+        # into C-contiguous views of one flat buffer, as a training step passes them
+        spec = net.MlpSpec(4, 2, hidden=(6, 5))
+        nets = [net.init_mlp(spec, 40 + n, zero_output=False) for n in range(3)]
+        params = net.stack_mlps(nets) if stacked else nets[0]
+        x = rng.standard_normal((3, 7, 4))
+        cot = rng.standard_normal((3, 7, 2))
+        grads, _ = net.mlp_backward(params, net.mlp_forward(params, x)[1], cot, False)
+        shapes = [p.shape for p in params.parameters()]
+        flat = np.full(sum(int(np.prod(s)) for s in shapes), np.nan)
+        chunks = np.split(flat, np.cumsum([int(np.prod(s)) for s in shapes])[:-1])
+        views = [c.reshape(s) for c, s in zip(chunks, shapes)]
+        written, _ = net.mlp_backward(params, net.mlp_forward(params, x)[1], cot, False,
+                                      out=views)
+        assert len(written) == len(views)
+        assert all(w is v for w, v in zip(written, views))
+        for g, v in zip(grads, views):
+            assert g.shape == v.shape and g.tobytes() == v.tobytes()
+
+    def test_gradient_outputs_checked(self, rng):
+        params = net.init_mlp(net.MlpSpec(3, 2, hidden=(4,)), 0, zero_output=False)
+        _, cache = net.mlp_forward(params, rng.standard_normal((5, 3)))
+        out = [np.empty(p.shape) for p in params.parameters()]
+        out[0] = np.empty(out[0].shape[::-1]).T   # right shape, not C-contiguous
+        with pytest.raises(ValueError):
+            net.mlp_backward(params, cache, np.zeros((5, 2)), False, out=out)
+
 
 def assert_stack_matches_separate_nets(nets, x, cot):
     """Stacked forward and backward equal each net's own, bit for bit."""

@@ -298,6 +298,41 @@ class TestRunningFunctionals:
         batch = make_batch(rng.standard_normal((3, 9, 2)))
         assert np.all(sde.running_integral(batch, [0.0, 0.0]) == 0.0)
 
+    @given(dim=st.sampled_from([1, 2, 7, 100]), size=st.integers(1, 6),
+           n_fine=st.integers(1, 30), horizon=st.floats(0.1, 5.0),
+           x0=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_integral_is_bitwise_the_two_buffer_formula(self, dim, size, n_fine, horizon,
+                                                         x0, seed):
+        # the weighted states, cumulated times h into a zeroed buffer from entry 1
+        model = sde.ModelSpec.arithmetic_unit(x0, dim=dim)
+        batch = sde.simulate_batch(model, sde.GridSpec(horizon, n_fine, 1), size, seed)
+        w = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
+        weighted = batch.states @ w
+        expected = np.zeros(weighted.shape)
+        np.cumsum(weighted[:, :-1] * batch.grid.h, axis=1, out=expected[:, 1:])
+        out = sde.running_integral(batch, w)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    def test_integral_keeps_an_underflowed_step_negative(self):
+        # -5e-324 * h rounds to -0.0, which a 0 + x step would turn into +0.0
+        batch = make_batch(np.array([[[-5e-324], [1.0], [2.0]]]), horizon=0.5)
+        out = sde.running_integral(batch, [1.0])
+        assert np.signbit(out[0, 1]) and out[0, 1] == 0.0
+
+    def test_integral_peak_memory_is_two_outputs(self):
+        # the amerasian desk shape: the output and one shifted copy of it
+        model = sde.ModelSpec.geometric(100.0, 0.05, 0.15)
+        batch = sde.simulate_batch(model, sde.GridSpec(1.0, 200, 20), 1000, 5)
+        sde.running_integral(batch, [1.0])
+        tracemalloc.start()
+        try:
+            out = sde.running_integral(batch, [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three outputs' worth (4.9 MB) with a separate weighted array
+        assert peak <= 2.2 * out.nbytes
+
 
 class TestRefinementProperties:
     def test_refining_never_increases_discrete_minimum(self, rng):

@@ -202,7 +202,13 @@ class TestFeatures:
 def chunked_pipeline(state, spec, batch, cot, chunk):
     """Features, embedding gradient and node gradients with the feature
     pipeline run over chunks of at most ``chunk`` paths."""
-    with mock.patch.object(solver, "FEATURE_CHUNK_PATHS", chunk), \
+    budget = chunk * solver._values_per_path(spec, batch.grid)
+    return budgeted_pipeline(state, spec, batch, cot, budget)
+
+
+def budgeted_pipeline(state, spec, batch, cot, budget):
+    """:func:`chunked_pipeline` with a budget of ``budget`` values per chunk."""
+    with mock.patch.object(solver, "FEATURE_CHUNK_VALUES", budget), \
             mock.patch.object(net, "embed_backward", wraps=net.embed_backward) as pullback:
         features, cache = solver.features_for_batch(state, batch, spec)
         if cache is None:
@@ -235,6 +241,74 @@ class TestFeatureChunks:
         assert len(split) == (3 if embedded else 1)
         for a, b in zip(whole, split):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @given(size=st.integers(1, 7), budget=st.floats(0.0, 1.2), depth=st.integers(1, 3),
+           feature=st.sampled_from(solver.FEATURE_KINDS), embedded=st.booleans())
+    def test_every_budget_is_bitwise_one_chunk(self, size, budget, depth, feature,
+                                               embedded):
+        # budgets from below one path's values to above the whole batch's
+        spec = solver.ExperimentSpec(
+            method="backward",
+            model=sde.ModelSpec.geometric((90.0, 100.0, 120.0), 0.05, (0.1, 0.2, 0.15)),
+            grid=sde.GridSpec(1.0, 12, 3), driver=solver.DriverKind(0.05),
+            payoff=solver.PayoffKind("asian-basket-call", strike=100.0),
+            depth=depth, feature=feature, embed_dim=2 if embedded else None,
+            batch_size=size, seed=1)
+        state = solver.init_state(spec)
+        batch = sde.simulate_batch(spec.model, spec.grid, size, 9)
+        cot = np.random.default_rng(depth).standard_normal(
+            (spec.grid.n_coarse, size, spec.feature_width))
+        whole_batch = size * solver._values_per_path(spec, batch.grid)
+        whole = budgeted_pipeline(state, spec, batch, cot, whole_batch)
+        split = budgeted_pipeline(state, spec, batch, cot, int(budget * whole_batch))
+        assert len(split) == (3 if embedded else 1)
+        for a, b in zip(whole, split):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec, paths", [
+        # 380 steps of 4 values per path at depth 3: 39 paths per chunk at most
+        (lookback_spec(grid=sde.GridSpec(1.0, 400, 20), batch_size=100), [33, 33, 34]),
+        # 190 steps of 2 values per path at depth 2: 157 paths at most
+        (amerasian_spec(grid=sde.GridSpec(1.0, 200, 20), feature="log-signature",
+                        batch_size=1000), [142] + [143] * 6),
+        # 160 scanned steps of 21**2 values exceed the budget: one path per chunk
+        (solver.ExperimentSpec(
+            method="forward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=20),
+            grid=sde.GridSpec(1.0, 200, 5), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=3,
+            feature="log-signature", batch_size=3, y0_init=0.0), [1, 1, 1]),
+    ])
+    def test_desk_chunks_follow_the_working_set(self, spec, paths):
+        state = solver.init_state(spec)
+        batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 2)
+        with mock.patch.object(engine, "checkpoint_scan",
+                               wraps=engine.checkpoint_scan) as scan:
+            solver.features_for_batch(state, batch, spec)
+        assert [c.args[0].shape[0] for c in scan.call_args_list] == paths
+
+    def test_embedded_d100_desk_batch_keeps_chunks_of_125_paths(self):
+        # 80 scanned steps of 6 channels: 480 values per path
+        spec = solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=100),
+            grid=sde.GridSpec(1.0, 100, 5), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2,
+            feature="log-signature", embed_dim=5, batch_size=1000, seed=0)
+        assert solver.FEATURE_CHUNK_VALUES // solver._values_per_path(spec, spec.grid) == 125
+
+    def test_depth_three_lookback_features_peak_below_a_bound(self):
+        # 380 scanned steps of 2 channels at depth 3: a 100-path chunk's five
+        # per-step arrays of 1.2 MB each peaked near 6 MB
+        spec = lookback_spec(grid=sde.GridSpec(1.0, 400, 20), batch_size=100)
+        state = solver.init_state(spec)
+        batch = sde.simulate_batch(spec.model, spec.grid, 100, 4)
+        solver.features_for_batch(state, batch, spec)
+        tracemalloc.start()
+        try:
+            solver.features_for_batch(state, batch, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_chunks_bound_the_peak_memory(self):
         spec = solver.ExperimentSpec(
