@@ -123,10 +123,10 @@ def _selftest_checks():
                 and np.allclose(segment[3:], 0.0, rtol=0, atol=1e-14))
 
     def adam_zero_grad():
-        params = [np.array([1.0, -2.0])]
-        state = net.init_adam(params, lr=0.1)
-        net.adam_step(state, params, [np.zeros(2)])
-        return np.array_equal(params[0], [1.0, -2.0])
+        param = np.array([1.0, -2.0])
+        state = net.init_adam(param, lr=0.1)
+        net.adam_step(state, param, np.zeros(2))
+        return np.array_equal(param, [1.0, -2.0])
 
     def simulation_reproducible():
         # streams long enough that the whole batch is split over threads on
@@ -155,8 +155,8 @@ def _selftest_checks():
         # host, while each date alone, a stack of one, stays on one block;
         # then the stack again through sub-blocks of one date, which the
         # backward pass recomputes
-        nets = [net.init_mlp(net.MlpSpec(3, 2, hidden=(8, 8)), n, zero_output=False,
-                             input_scale=np.array([1.0, 0.5, 0.1])) for n in range(4)]
+        spec, scale = net.MlpSpec(3, 2, hidden=(8, 8)), np.array([1.0, 0.5, 0.1])
+        nets = net.init_mlp(spec, range(4), zero_output=False, input_scale=scale)
         x = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 3))
         cot = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 2))
 
@@ -165,17 +165,18 @@ def _selftest_checks():
             grads, gx = net.mlp_backward(params, cache, cot, True)
             return [out, *grads, gx]
 
-        split = run(net.stack_mlps(nets), x, cot)
+        split = run(nets, x, cot)
         default = net.SUB_BLOCK_ROWS
         try:
             net.SUB_BLOCK_ROWS = 1
-            one_date = run(net.stack_mlps(nets), x, cot)
+            one_date = run(nets, x, cot)
         finally:
             net.SUB_BLOCK_ROWS = default
         if any(a.tobytes() != b.tobytes() for a, b in zip(split, one_date)):
             return False
         for n in range(4):
-            alone = run(net.stack_mlps(nets[n:n + 1]), x[n:n + 1], cot[n:n + 1])
+            alone = run(net.init_mlp(spec, [n], zero_output=False, input_scale=scale),
+                        x[n:n + 1], cot[n:n + 1])
             if any(whole[n:n + 1].tobytes() != part.tobytes()
                    for whole, part in zip(split, alone)):
                 return False
@@ -196,7 +197,7 @@ def _selftest_checks():
             for chunk in (3, 8):
                 solver.FEATURE_CHUNK_VALUES = chunk * solver._values_per_path(spec, spec.grid)
                 features, cache = solver.features_for_batch(state, batch, spec)
-                grad = solver.features_backward(state, spec, cache, cot)[0]
+                grad = solver.features_backward(state, spec, cache, cot)
                 runs.append((len(cache.chunks), features.tobytes(), grad.tobytes()))
         finally:
             solver.FEATURE_CHUNK_VALUES = default

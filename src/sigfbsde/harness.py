@@ -259,8 +259,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
     for key in ("d", "n_fine", "n_coarse", "batch", "runs", "workers"):
         if resolved[key] < 1:
             problems.append(f"{key}={resolved[key]} must be positive")
-    if resolved["iterations"] < 0:
-        problems.append(f"iterations={resolved['iterations']} must be nonnegative")
+    for key in ("iterations", "seed"):
+        if resolved[key] < 0:
+            problems.append(f"{key}={resolved[key]} must be nonnegative")
     for key in _FLOAT_KEYS:
         if resolved[key] is not None and not math.isfinite(resolved[key]):
             problems.append(f"{key}={resolved[key]} must be finite")
@@ -378,18 +379,19 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     table.summary = summary
 
     if doc["out"]:
-        emit_outputs(table, reports, doc["out"])
+        emit_outputs(table, doc["out"])
     return table
 
 
-def emit_outputs(table: ResultsTable, curves: list, directory: str) -> list:
-    """Write per-run curve CSVs, the summary CSV, and the JSON report.
+def emit_outputs(table: ResultsTable, directory: str) -> list:
+    """Write the curve CSV of each of ``table.reports``, the summary CSV, and
+    the JSON report.
 
     Emission is pure formatting: identical inputs produce byte-identical
     files.  Returns the list of paths written.
     """
     os.makedirs(directory, exist_ok=True)
-    written = [_write_curve(directory, r, report) for r, report in enumerate(curves)]
+    written = [_write_curve(directory, r, report) for r, report in enumerate(table.reports)]
 
     path = os.path.join(directory, "summary.csv")
     lines = ["run,final_estimate,iterations,elapsed_s"]

@@ -1,8 +1,10 @@
-"""Minimal differentiable blocks: stacked MLPs, Adam, pointwise embedding.
+"""Minimal differentiable blocks: stacked relu MLPs, Adam, pointwise embedding.
 
-Reverse mode is hand-rolled for the one fixed composite this library needs;
-each forward call returns the cache its backward companion consumes.  One
-MLP code path serves a single net and a stack of nets on a leading axis.
+Reverse mode is hand-rolled for the one fixed composite this library needs:
+:func:`mlp_forward` returns the cache :func:`mlp_backward` consumes, and
+:func:`embed_backward` reads the stream that was embedded.  An MLP is
+always a stack of nets on a leading date axis, a single net being a stack
+of one, and Adam steps one flat array.
 
 Net ``n`` of a stack only reads date ``n``, so a large stack runs on
 contiguous blocks of its dates, one per core, side by side: numpy releases
@@ -20,13 +22,11 @@ The threads are made per call and call no public function of this package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sde
-
-ACTIVATIONS = ("relu", "identity")
 
 # A stack is split into contiguous blocks of dates, one per core, but into no
 # more blocks than it holds PARALLEL_MIN_ROWS rows (dates times paths): below
@@ -47,11 +47,8 @@ class MlpSpec:
     in_dim: int
     out_dim: int
     hidden: tuple = (64, 64)
-    activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.in_dim < 1 or self.out_dim < 1 or any(w < 1 for w in self.hidden):
             raise ValueError(f"invalid layer widths: {self.widths}")
 
@@ -62,63 +59,52 @@ class MlpSpec:
 
 @dataclass
 class MlpParams:
-    """Trainable layers plus an optional fixed per-input multiplier.
+    """A stack of ``N`` nets' trainable layers plus an optional fixed
+    per-input multiplier.
 
-    A stack of ``N`` nets (:func:`stack_mlps`) has weights ``(N, widths[l],
-    widths[l+1])`` and biases ``(N, 1, widths[l+1])``; net ``n`` is slice ``[n]``.
-    ``input_scale`` (shape ``(in_dim,)``) rescales the input before the
-    first affine layer; it is not trainable and not in :meth:`parameters`.
+    Net ``n`` is slice ``[n]`` of every layer.  ``input_scale`` (shape
+    ``(in_dim,)``) rescales the input before the first affine layer; it is
+    not trainable and not in :meth:`parameters`.
     """
 
     spec: MlpSpec
-    weights: list            # weights[l]: (widths[l], widths[l+1]), or stacked
-    biases: list             # biases[l]: (widths[l+1],), or stacked
+    weights: list            # weights[l]: (N, widths[l], widths[l+1])
+    biases: list             # biases[l]: (N, 1, widths[l+1])
     input_scale: np.ndarray | None = None
-
-    @property
-    def stack(self) -> tuple:
-        """``(N,)`` for a stack of ``N`` nets, ``()`` for a single net."""
-        return self.weights[0].shape[:-2]
 
     def parameters(self) -> list:
         """Flat parameter list, weights interleaved with biases."""
         return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
-def init_mlp(spec: MlpSpec, seed: int, zero_output: bool = True,
+def init_mlp(spec: MlpSpec, seeds, zero_output: bool = True,
              input_scale: np.ndarray | None = None) -> MlpParams:
-    """He-uniform fan-in initialisation; the output layer starts at zero.
+    """A stack of one net per seed, He-uniform fan-in initialised; the
+    output layer starts at zero.
 
-    A zero last layer makes every approximator's initial output vanish,
-    which keeps degenerate (zero-volatility) runs exact from iteration one.
-    Pass ``zero_output=False`` to randomise the full stack.
+    Net ``n`` draws its layers in order from ``default_rng(seeds[n])``, so
+    it does not depend on the other seeds.  A zero last layer makes every
+    approximator's initial output vanish, which keeps degenerate
+    (zero-volatility) runs exact from iteration one.  Pass
+    ``zero_output=False`` to randomise every layer.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     widths = spec.widths
     weights, biases = [], []
     for l in range(len(widths) - 1):
+        size = (widths[l], widths[l + 1])
         if zero_output and l == len(widths) - 2:
-            weights.append(np.zeros((widths[l], widths[l + 1])))
+            weights.append(np.zeros((len(rngs),) + size))
         else:
             bound = np.sqrt(6.0 / widths[l])  # fan-in
-            weights.append(rng.uniform(-bound, bound, size=(widths[l], widths[l + 1])))
-        biases.append(np.zeros(widths[l + 1]))
+            weights.append(np.stack([rng.uniform(-bound, bound, size=size) for rng in rngs]))
+        biases.append(np.zeros((len(rngs), 1, widths[l + 1])))
     return MlpParams(spec, weights, biases, input_scale)
 
 
-def stack_mlps(nets: list) -> MlpParams:
-    """One stack of nets that share the spec and input scale of ``nets[0]``."""
-    return MlpParams(nets[0].spec,
-                     [np.stack(ws) for ws in zip(*(p.weights for p in nets))],
-                     [np.stack(bs)[:, None] for bs in zip(*(p.biases for p in nets))],
-                     nets[0].input_scale)
-
-
-def _date_blocks(params: MlpParams, x: np.ndarray) -> list:
+def _date_blocks(x: np.ndarray) -> list:
     """Contiguous blocks of a stack's dates, one per thread and per
-    :data:`PARALLEL_MIN_ROWS` rows; a single net is one block."""
-    if not params.stack:
-        return [(None, None)]
+    :data:`PARALLEL_MIN_ROWS` rows."""
     n_dates, rows = x.shape[:2]
     return sde._blocks(n_dates, min(sde.thread_count(), n_dates * rows // PARALLEL_MIN_ROWS))
 
@@ -136,14 +122,11 @@ def _layer_buffers(params: MlpParams, shape: tuple) -> list:
 
 def _sub_blocks(x: np.ndarray, bufs: list, a, b) -> list:
     """``(dates, layers)`` of each sub-block of dates ``a:b``, as many dates
-    as ``bufs`` hold (all of them for a single net): the slice of its dates
-    and its views of the input and hidden layers."""
-    if a is None:
-        spans = [(slice(None), slice(None))]
-    else:
-        size = max((len(buf) for buf in bufs if buf is not None), default=b - a)
-        spans = [(slice(n, min(n + size, b)), slice(0, min(size, b - n)))
-                 for n in range(a, b, size)]
+    as ``bufs`` hold: the slice of its dates and its views of the input and
+    hidden layers."""
+    size = max((len(buf) for buf in bufs if buf is not None), default=b - a)
+    spans = [(slice(n, min(n + size, b)), slice(0, min(size, b - n)))
+             for n in range(a, b, size)]
     return [(d, [x[d] if buf is None else buf[rows] for buf in bufs]) for d, rows in spans]
 
 
@@ -154,15 +137,13 @@ def _hidden(params: MlpParams, x: np.ndarray, layers: list, d: slice):
     for l in range(1, len(layers)):
         h = np.matmul(layers[l - 1], params.weights[l - 1][d], out=layers[l])
         h += params.biases[l - 1][d]
-        if params.spec.activation == "relu":
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
 
 
 def _forward_dates(params: MlpParams, x: np.ndarray, out: np.ndarray, buffers: dict,
                    a, b):
-    """Write the output of dates ``a:b`` (all of them for a single net), one
-    sub-block at a time through the block's buffers, which are left holding
-    the last sub-block."""
+    """Write the output of dates ``a:b``, one sub-block at a time through
+    the block's buffers, which are left holding the last sub-block."""
     for d, layers in _sub_blocks(x, buffers[a, b], a, b):
         _hidden(params, x, layers, d)
         h = np.matmul(layers[-1], params.weights[-1][d], out=out[d])
@@ -170,26 +151,21 @@ def _forward_dates(params: MlpParams, x: np.ndarray, out: np.ndarray, buffers: d
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Affine/activation chain; returns ``(output, cache)``.
+    """Affine/relu chain; returns ``(output, cache)``.
 
-    A single net takes ``x`` with arbitrary leading batch axes over the
-    input width; a stack of ``N`` nets takes ``(N, B, in_dim)`` and applies
-    net ``n`` to ``x[n]``, after multiplying by ``params.input_scale`` (when
-    set).  A stack runs on contiguous blocks of its dates side by side, and
-    each block runs through buffers of a few dates (see
-    :data:`SUB_BLOCK_ROWS`).  The cache is ``(x, buffers)``: the buffers
-    hold each block's last sub-block.
+    A stack of ``N`` nets takes ``(N, B, in_dim)`` and applies net ``n`` to
+    ``x[n]``, after multiplying by ``params.input_scale`` (when set).  It
+    runs on contiguous blocks of its dates side by side, and each block
+    runs through buffers of a few dates (see :data:`SUB_BLOCK_ROWS`).  The
+    cache is ``(x, buffers)``: the buffers hold each block's last sub-block.
     """
-    spec, stack = params.spec, params.stack
-    if x.shape[-1] != spec.in_dim or stack and (x.ndim != 3 or x.shape[:1] != stack):
+    spec, stack = params.spec, len(params.weights[0])
+    if x.ndim != 3 or x.shape[0] != stack or x.shape[-1] != spec.in_dim:
         raise ValueError(f"input shape {x.shape} does not fit in_dim {spec.in_dim}, stack {stack}")
-    blocks = _date_blocks(params, x)
-    if stack:
-        size = max(1, SUB_BLOCK_ROWS // (len(blocks) * max(1, x.shape[1])))
-        buffers = {(a, b): _layer_buffers(params, (min(size, b - a),) + x.shape[1:])
-                   for a, b in blocks}
-    else:
-        buffers = {(None, None): _layer_buffers(params, x.shape)}
+    blocks = _date_blocks(x)
+    size = max(1, SUB_BLOCK_ROWS // (len(blocks) * max(1, x.shape[1])))
+    buffers = {(a, b): _layer_buffers(params, (min(size, b - a),) + x.shape[1:])
+               for a, b in blocks}
     out = np.empty(x.shape[:-1] + (spec.out_dim,))
     sde._run_blocks(functools.partial(_forward_dates, params, x, out, buffers), blocks)
     return out, (x, buffers)
@@ -197,21 +173,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
 
 def _backward_dates(params: MlpParams, x: np.ndarray, buffers: dict, cotangent: np.ndarray,
                     grads: list, input_grad: np.ndarray | None, a, b):
-    """Fill the parameter gradients of dates ``a:b`` (all of them for a
-    single net) and, unless it is ``None``, their input gradient, one
-    sub-block at a time from the last.  Every sub-block but the last is
-    first recomputed into the buffers, by the same calls on the same data."""
-    k = len(params.stack)
+    """Fill the parameter gradients of dates ``a:b`` and, unless it is
+    ``None``, their input gradient, one sub-block at a time from the last.
+    Every sub-block but the last is first recomputed into the buffers, by
+    the same calls on the same data."""
     for i, (d, layers) in enumerate(reversed(_sub_blocks(x, buffers[a, b], a, b))):
         if i:
             _hidden(params, x, layers, d)
         g = cotangent[d]
         for l in range(len(params.weights) - 1, -1, -1):
-            flat_in = layers[l].reshape(g.shape[:k] + (-1, layers[l].shape[-1]))
-            flat_g = g.reshape(g.shape[:k] + (-1, g.shape[-1]))
-            np.matmul(flat_in.swapaxes(-1, -2), flat_g, out=grads[2 * l][d])
-            np.sum(flat_g, axis=-2,
-                   out=grads[2 * l + 1][d].reshape(g.shape[:k] + g.shape[-1:]))
+            np.matmul(layers[l].swapaxes(-1, -2), g, out=grads[2 * l][d])
+            np.sum(g, axis=1, keepdims=True, out=grads[2 * l + 1][d])
             w_t = params.weights[l][d].swapaxes(-1, -2)
             if not l:
                 if input_grad is not None:
@@ -221,10 +193,9 @@ def _backward_dates(params: MlpParams, x: np.ndarray, buffers: dict, cotangent: 
                 break
             # layer l is spent and takes the cotangent, after its relu mask
             # post > 0 (equal to pre > 0) is taken
-            mask = layers[l] > 0.0 if params.spec.activation == "relu" else None
+            mask = layers[l] > 0.0
             g = np.matmul(g, w_t, out=layers[l])
-            if mask is not None:
-                g *= mask
+            g *= mask
 
 
 def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
@@ -233,13 +204,13 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
 
     ``grads`` aligns with :meth:`MlpParams.parameters`: the arrays of
     ``out`` when given (C-contiguous, of the parameters' shapes), which
-    are written in place, else new ones.  Gradients are summed
-    over the batch axes of the cotangent, per net of a stack.  ``input_grad``
-    is taken with respect to the unscaled input ``x`` of :func:`mlp_forward`;
-    it is ``None`` unless ``need_input_grad``, which skips the layer-0
-    product.  The pass spends the cache's buffers and writes nothing else
-    but its results, so ``cotangent`` may be the forward pass's output.  A
-    stack runs on the same date blocks as its forward pass, side by side.
+    are written in place, else new ones.  Gradients are summed over the
+    batch axis of the cotangent, per net.  ``input_grad`` is taken with
+    respect to the unscaled input ``x`` of :func:`mlp_forward`; it is
+    ``None`` unless ``need_input_grad``, which skips the layer-0 product.
+    The pass spends the cache's buffers and writes nothing else but its
+    results, so ``cotangent`` may be the forward pass's output.  It runs on
+    the same date blocks as the forward pass, side by side.
     """
     x, buffers = cache
     if cotangent.shape != x.shape[:-1] + (params.spec.out_dim,):
@@ -263,50 +234,46 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one flat parameter list."""
+    """First/second moment accumulators of one flat parameter array."""
 
     lr: float
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
 
-def init_adam(params: list, lr: float = 1e-3) -> AdamState:
-    return AdamState(lr=lr,
-                     m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def init_adam(param: np.ndarray, lr: float = 1e-3) -> AdamState:
+    return AdamState(lr=lr, m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def adam_step(state: AdamState, params: list, grads: list):
-    """Standard bias-corrected Adam update, applied in place; returns both.
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray):
+    """Standard bias-corrected Adam update of ``param``, in place.
 
-    Each array takes ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, one
-    operation at a time in that order, through two scratch arrays.
+    It takes ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, one operation
+    at a time in that order, through two scratch arrays.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        s, t = np.empty_like(p), np.empty_like(p)
-        np.multiply(1.0 - b1, g, out=s)
-        m *= b1
-        m += s
-        np.square(g, out=s)
-        s *= 1.0 - b2
-        v *= b2
-        v += s
-        np.divide(m, c1, out=s)
-        s *= state.lr
-        np.divide(v, c2, out=t)
-        np.sqrt(t, out=t)
-        t += state.eps
-        s /= t
-        p -= s
-    return state, params
+    s, t = np.empty_like(param), np.empty_like(param)
+    np.multiply(1.0 - b1, grad, out=s)
+    m *= b1
+    m += s
+    np.square(grad, out=s)
+    s *= 1.0 - b2
+    v *= b2
+    v += s
+    np.divide(m, c1, out=s)
+    s *= state.lr
+    np.divide(v, c2, out=t)
+    np.sqrt(t, out=t)
+    t += state.eps
+    s /= t
+    param -= s
 
 
 @dataclass
@@ -322,9 +289,6 @@ class EmbeddingParams:
     weight: np.ndarray   # (d, d_out)
     input_scale: np.ndarray | None = None
 
-    def parameters(self) -> list:
-        return [self.weight]
-
 
 def init_embedding(in_dim: int, out_dim: int, seed: int,
                    input_scale: np.ndarray | None = None) -> EmbeddingParams:
@@ -334,11 +298,8 @@ def init_embedding(in_dim: int, out_dim: int, seed: int,
                            input_scale)
 
 
-def embed_stream(params: EmbeddingParams, stream: np.ndarray):
-    """Map a ``(..., n+1, d)`` stream nodewise to ``(..., n+1, d_out)``.
-
-    Returns ``(embedded, cache)``; the cache is ``stream`` itself.
-    """
+def embed_stream(params: EmbeddingParams, stream: np.ndarray) -> np.ndarray:
+    """Map a ``(..., n+1, d)`` stream nodewise to ``(..., n+1, d_out)``."""
     if stream.shape[-1] != params.weight.shape[0]:
         raise ValueError(
             f"stream has {stream.shape[-1]} channels, embedding expects "
@@ -346,20 +307,20 @@ def embed_stream(params: EmbeddingParams, stream: np.ndarray):
     weight = params.weight
     if params.input_scale is not None:
         weight = params.input_scale[:, None] * weight
-    return stream @ weight, stream
+    return stream @ weight
 
 
-def embed_backward(params: EmbeddingParams, cache, cotangent: np.ndarray) -> list:
-    """Reverse of :func:`embed_stream`; returns the parameter gradients ``[dW]``.
+def embed_backward(params: EmbeddingParams, stream: np.ndarray,
+                   cotangent: np.ndarray) -> np.ndarray:
+    """Reverse of :func:`embed_stream` on ``stream``; returns ``dW``.
 
     ``dW`` is one product over every node of the batch, taken as
     ``(flat_gᵀ flat_in)ᵀ``: the same sums as ``flat_inᵀ flat_g``, and faster
     for a long stream and a narrow embedding.
     """
-    stream = cache
     flat_in = stream.reshape(-1, stream.shape[-1])
     flat_g = cotangent.reshape(-1, cotangent.shape[-1])
     grad = (flat_g.T @ flat_in).T
     if params.input_scale is not None:
         grad *= params.input_scale[:, None]
-    return [grad]
+    return grad

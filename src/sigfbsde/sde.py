@@ -41,6 +41,10 @@ MODEL_KINDS = ("geometric", "arithmetic-unit")
 # and dispatching a step of the unit-diffusion loop hold the interpreter
 # lock, so below either cut a second thread slows the batch down instead of
 # halving its draws.  The geometric step is whole-block ufuncs; the cuts stay.
+# With this cut at 0 (2 cores), two threads took 2.2-2.7x as long as one at
+# n_fine*d = 20 (8192 paths), 1.7-2.0x at 64 (d=16), 1.35-1.4x at 200 (4096
+# paths), 0.93x at 400 (d=2, 2048 paths) and 0.57-0.70x at 800-1000.  The
+# benchmark sits at 200 and 400, both under the row cut too, and at 10,000.
 PARALLEL_MIN_NORMALS = 1024
 PARALLEL_MIN_STEP_NORMALS = 2048
 

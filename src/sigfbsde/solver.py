@@ -205,7 +205,7 @@ def trainables(state: TrainState) -> list:
     if state.y0 is not None:
         out.append(state.y0)
     if state.embedding is not None:
-        out.extend(state.embedding.parameters())
+        out.append(state.embedding.weight)
     return out
 
 
@@ -223,11 +223,6 @@ def _pack(state: TrainState) -> TrainState:
     if state.embedding is not None:
         state.embedding.weight = next(views)
     return state
-
-
-def _assign(views: list, values: list):
-    for view, value in zip(views, values):
-        view[...] = value
 
 
 @dataclass
@@ -269,9 +264,9 @@ def init_state(spec: ExperimentSpec) -> TrainState:
     mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim)
     # the |x0| conditioning sits in the embedding when there is one, else in the nets
     input_scale = feature_input_scale(spec) if spec.embed_dim is None else None
-    state = TrainState(nets=net.stack_mlps(
-        [net.init_mlp(mlp_spec, derive_seed(spec.seed, 1, n), input_scale=input_scale)
-         for n in range(spec.grid.n_coarse)]))
+    state = TrainState(nets=net.init_mlp(
+        mlp_spec, [derive_seed(spec.seed, 1, n) for n in range(spec.grid.n_coarse)],
+        input_scale=input_scale))
     if spec.method == "forward":
         y0 = spec.y0_init if spec.y0_init is not None else pilot_estimate(spec)
         state.y0 = np.asarray(float(y0))
@@ -282,7 +277,7 @@ def init_state(spec: ExperimentSpec) -> TrainState:
     _pack(state)
     state.grad = _pack(copy.deepcopy(state))
     state.grad.params[:] = 0.0
-    state.adam = net.init_adam([state.params], spec.learning_rate)
+    state.adam = net.init_adam(state.params, spec.learning_rate)
     return state
 
 
@@ -290,10 +285,10 @@ def init_state(spec: ExperimentSpec) -> TrainState:
 class FeatureCache:
     """Intermediates kept for the reverse pass through the embedding.
 
-    ``stream`` is the unembedded batch (the cache of :func:`net.embed_stream`
-    over the whole batch).  ``chunks`` holds, per chunk of paths, its rows,
-    the increments of its time-augmented embedded stream up to coarse date
-    ``N-1`` and its ``checkpoint_scan`` levels, one slot per date 0..N-1.
+    ``stream`` is the unembedded batch, which :func:`net.embed_backward`
+    reads.  ``chunks`` holds, per chunk of paths, its rows, the increments
+    of its time-augmented embedded stream up to coarse date ``N-1`` and its
+    ``checkpoint_scan`` levels, one slot per date 0..N-1.
     """
 
     stream: np.ndarray
@@ -374,7 +369,7 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
         rows = slice(start, stop)
         values = batch.states[rows, :n_scan + 1]
         if state.embedding is not None:
-            values, _ = net.embed_stream(state.embedding, values)
+            values = net.embed_stream(state.embedding, values)
         nodes = np.concatenate(
             [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values],
             axis=-1)
@@ -401,7 +396,7 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
 
 def features_backward(state: TrainState, spec: ExperimentSpec,
                       cache: FeatureCache, feature_cots: np.ndarray):
-    """Pull the feature cotangents of all dates back to embedding gradients.
+    """Pull the feature cotangents of all dates back to the embedding's ``dW``.
 
     The reverse pass runs chunk by chunk over the cache, writing each
     chunk's node gradients into one ``(B, n+1, embed_dim)`` buffer; the
@@ -526,9 +521,9 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)
         if fcache is not None:
-            _assign(state.grad.embedding.parameters(),
-                    features_backward(state, spec, fcache, feature_cots))
-        net.adam_step(state.adam, [state.params], [state.grad.params])
+            state.grad.embedding.weight[...] = features_backward(state, spec, fcache,
+                                                                 feature_cots)
+        net.adam_step(state.adam, state.params, state.grad.params)
         state.iteration += 1
     return state, loss, float(state.y0) if sign > 0 else estimate
 

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,8 +197,8 @@ class TestRunExperiment:
         cfg = harness.load_config(overrides=tiny_quadratic_overrides(runs=1))
         table = harness.run_experiment(cfg)
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-        harness.emit_outputs(table, table.reports, d1)
-        harness.emit_outputs(table, table.reports, d2)
+        harness.emit_outputs(table, d1)
+        harness.emit_outputs(table, d2)
         for name in ("curve_run0.csv", "summary.csv", "report.json"):
             with open(os.path.join(d1, name), "rb") as fa, \
                  open(os.path.join(d2, name), "rb") as fb:
@@ -318,6 +319,21 @@ class TestCli:
         assert code == 2
         assert setting.split("=")[0] + "=" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--experiment", "lookback", "--profile", "desk", "--seed", "-1",
+         "--set", "iterations=0"],
+        ["oracle", "--experiment", "amerasian", "--set", "seed=-1"],
+    ], ids=["run", "oracle"])
+    def test_negative_seed_exits_two_before_training(self, tmp_path, capsys, argv):
+        # a negative seed would reach np.random.SeedSequence, which rejects it
+        out = tmp_path / "never"
+        extra = ["--out", str(out)] if argv[0] == "run" else []
+        with mock.patch.object(solver, "derive_seed", wraps=solver.derive_seed) as derive:
+            code = cli.main(argv + extra)
+        assert code == 2
+        assert "seed=-1" in capsys.readouterr().err
+        assert not derive.called and not out.exists()
 
     def test_zero_coarse_dates_exit_two(self, tmp_path, capsys):
         out = tmp_path / "never"

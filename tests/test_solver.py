@@ -187,9 +187,9 @@ class TestFeatures:
             return float(np.sum(cot * features))
 
         _, cache = solver.features_for_batch(state, batch, spec)
-        grads = solver.features_backward(state, spec, cache, cot)
+        grad = solver.features_backward(state, spec, cache, cot)
         numeric_w = central_difference(objective, state.embedding.weight)
-        np.testing.assert_allclose(grads[0], numeric_w, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(grad, numeric_w, rtol=1e-5, atol=1e-6)
 
     def test_log_features_width(self):
         spec = lookback_spec(feature="log-signature", batch_size=4)
@@ -213,8 +213,8 @@ def budgeted_pipeline(state, spec, batch, cot, budget):
         features, cache = solver.features_for_batch(state, batch, spec)
         if cache is None:
             return [features]
-        grads = solver.features_backward(state, spec, cache, cot)
-    return [features, grads[0], pullback.call_args.args[2]]
+        grad = solver.features_backward(state, spec, cache, cot)
+    return [features, grad, pullback.call_args.args[2]]
 
 
 class TestFeatureChunks:
@@ -413,10 +413,10 @@ class TestForwardIteration:
             payoff=solver.PayoffKind("quadratic-integral"),
             depth=2, batch_size=512, iterations=1, seed=2, y0_init=0.4)
         state = solver.init_state(spec)
-        for n in range(spec.grid.n_coarse):
-            fresh = net.init_mlp(state.nets.spec, 100 + n, zero_output=False)
-            for stacked, value in zip(state.nets.parameters(), fresh.parameters()):
-                stacked[n] = value
+        fresh = net.init_mlp(state.nets.spec, range(100, 100 + spec.grid.n_coarse),
+                             zero_output=False)
+        for stacked, value in zip(state.nets.parameters(), fresh.parameters()):
+            stacked[...] = value
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 31)
         features, _ = solver.features_for_batch(state, batch, spec)
         ys, _, _, _ = solver.rollout(state, spec, batch, features,
