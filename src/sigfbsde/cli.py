@@ -95,19 +95,19 @@ def _selftest_checks():
         return all(np.allclose(a, b, rtol=1e-12, atol=1e-12) for a, b in zip(back, v))
 
     def pullback_fd():
-        nodes = rng.standard_normal((5, 2))
-        cot = rng.standard_normal(engine.sig_width(2, 2))
-        grad = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
-            np.diff(nodes, axis=0), 2, engine.split_flat(cot, 2, 2)))
-        eps = 1e-6
-        for idx in [(0, 0), (2, 1), (4, 0)]:
-            bumped = nodes.copy()
-            bumped[idx] += eps
-            up = float(cot @ engine.flatten_levels(_signature(bumped, 2)))
-            bumped[idx] -= 2 * eps
-            down = float(cot @ engine.flatten_levels(_signature(bumped, 2)))
-            if abs((up - down) / (2 * eps) - grad[idx]) > 1e-5 * max(1.0, abs(grad[idx])):
-                return False
+        # the reverse pass training uses: three checkpoints at depths 2 and 3
+        inc, eps = rng.standard_normal((12, 2)), 1e-6
+        for depth in (2, 3):
+            cot = [rng.standard_normal((4, 2 ** k)) for k in range(1, depth + 1)]
+            grad = engine.checkpoint_scan_vjp(inc, 4, cot)
+            for idx in np.ndindex(inc.shape):
+                bump = np.zeros_like(inc)
+                bump[idx] = eps
+                up, down = (sum(np.vdot(c, lvl) for c, lvl in
+                                zip(cot, engine.checkpoint_scan(inc + sign * bump, 4, depth)))
+                            for sign in (1.0, -1.0))
+                if abs((up - down) / (2 * eps) - grad[idx]) > 1e-5 * max(1.0, abs(grad[idx])):
+                    return False
         return True
 
     def lyndon_coordinates():

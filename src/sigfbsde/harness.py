@@ -329,25 +329,30 @@ def _run_one(args) -> solver.RunReport:
 def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     """Execute all runs, aggregate, attach the oracle reference, emit files.
 
-    A run that aborts on a non-finite loss still writes its partial curve
-    to ``out`` before the :class:`solver.SolverAbort` propagates.
+    A run that aborts on a non-finite loss still writes the curves of the
+    runs before it and its own partial curve to ``out`` before the
+    :class:`solver.SolverAbort` propagates.
     """
     doc, spec = cfg.document, cfg.spec
     run_seeds = [solver.derive_seed(spec.seed, 6, r) for r in range(spec.runs)]
     jobs = [(spec, s) for s in run_seeds]
     workers = min(doc["workers"], spec.runs, sde.thread_count())
+    reports = []  # in run order; extend keeps the runs that finished before an abort
     try:
         if workers > 1:
             # imported here, so multiprocessing loads only for a pool
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_run_one, jobs))
+                reports.extend(pool.map(_run_one, jobs))
         else:
-            reports = [_run_one(job) for job in jobs]
+            reports.extend(map(_run_one, jobs))
     except solver.SolverAbort as exc:
-        if doc["out"] and exc.report is not None:
+        if doc["out"]:
             os.makedirs(doc["out"], exist_ok=True)
-            _write_curve(doc["out"], run_seeds.index(exc.report.seed), exc.report)
+            for r, report in enumerate(reports):
+                _write_curve(doc["out"], r, report)
+            if exc.report is not None:
+                _write_curve(doc["out"], run_seeds.index(exc.report.seed), exc.report)
         raise
 
     table = ResultsTable(reports=reports)

@@ -9,9 +9,10 @@ broadcast over them.  The level-0 scalar is carried separately by callers
 (1 for group-like series, 0 for Lie-like ones).
 
 Everything here is pure-numpy and allocation-only; reverse-mode companions
-(`*_vjp`) return cotangents with the same layout.  The block kernels and
-their reverse passes are closed-form up to depth 3; the sequential Chen
-scan (:func:`signature_scan`) is the reference they are tested against.
+(`*_vjp`) return cotangents with the same layout.  Up to depth 3 the
+checkpoint scan is one pass of cumulative sums over the whole path, and its
+VJP is that pass run in reverse; the sequential Chen scan
+(:func:`signature_scan`) is the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -95,19 +96,6 @@ def product(a: Levels, b: Levels, unit_a: float = 1.0, unit_b: float = 1.0) -> L
     return out
 
 
-def chen_step(levels: Levels, inc: np.ndarray) -> Levels:
-    """One streaming update: ``levels ⊗ segment_exp(inc)`` for group-like input."""
-    m = len(levels)
-    pw = segment_exp(inc, m)
-    out = []
-    for k in range(1, m + 1):
-        acc = levels[k - 1] + pw[k - 1]
-        for i in range(1, k):
-            acc = acc + _outer(levels[i - 1], pw[k - i - 1])
-        out.append(acc)
-    return out
-
-
 def _step_major(increments: np.ndarray) -> np.ndarray:
     """Copy to step-major layout so per-step slices are contiguous."""
     return np.ascontiguousarray(np.moveaxis(increments, -2, 0))
@@ -118,23 +106,10 @@ def signature_scan(increments: np.ndarray, depth: int) -> Levels:
 
     ``increments`` has shape ``(..., n, d)``; the scan runs over axis ``-2``.
     """
-    batch = increments.shape[:-2]
-    d = increments.shape[-1]
-    steps = _step_major(increments)
-    levels = identity_levels(batch, d, depth)
-    for s in range(steps.shape[0]):
-        levels = chen_step(levels, steps[s])
+    levels = identity_levels(increments.shape[:-2], increments.shape[-1], depth)
+    for step in _step_major(increments):
+        levels = product(levels, segment_exp(step, depth))
     return levels
-
-
-def block_signatures(increments: np.ndarray, depth: int) -> Levels:
-    """Signature levels of piecewise-linear blocks, contracted over steps.
-
-    ``increments`` has shape ``(..., M, d)``; the result is the signature of
-    the whole ``M``-step block: the one-checkpoint case of
-    :func:`checkpoint_scan`, bit for bit.
-    """
-    return [lvl[..., 0, :] for lvl in _prefixes(increments, increments.shape[-2], depth)]
 
 
 def _prefixes(increments: np.ndarray, every: int, depth: int) -> Levels:
@@ -154,7 +129,7 @@ def _prefixes(increments: np.ndarray, every: int, depth: int) -> Levels:
     if depth > 3:
         levels, out = identity_levels(tuple(batch), d, depth), []
         for s, step in enumerate(_step_major(increments), 1):
-            levels = chen_step(levels, step)
+            levels = product(levels, segment_exp(step, depth))
             if s % every == 0:
                 out.append(levels)
         return [np.stack([p[k] for p in out], axis=-2) for k in range(depth)]
@@ -281,78 +256,60 @@ def log_of_group_vjp(s: Levels, cot: Levels) -> Levels:
 
 
 def _revcumsum(a: np.ndarray) -> np.ndarray:
-    """Cumulative sum over the step axis ``-2``, from the last step back."""
-    return np.cumsum(a[..., ::-1, :], axis=-2)[..., ::-1, :]
+    """Cumulative sum over axes ``(-3, -2)`` read as one, from the last entry back."""
+    rows = a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
+    return np.cumsum(rows[..., ::-1, :], axis=-2)[..., ::-1, :].reshape(a.shape)
 
 
-def block_signatures_vjp(increments: np.ndarray, depth: int, cot: Levels) -> np.ndarray:
-    """Cotangent of :func:`block_signatures` with respect to ``increments``.
+def checkpoint_scan_vjp(increments: np.ndarray, fine_per_segment: int,
+                        cot: Levels) -> np.ndarray:
+    """Cotangent of :func:`checkpoint_scan` with respect to ``increments``.
 
-    The forward's sums run in reverse for depths 1-3, with its terms ``mid``
-    and ``a`` recomputed, not cached.  For level cotangents ``G_k`` and
-    ``rev`` a cumulative sum from the last step back: depth 3 gives
-    ``g_a = x G3ᵀ`` (``G3`` as ``(d², d)``) and ``g_x += a G3``, then
-    ``rev(g_a) - g_a/2 + G2`` flows through ``mid⊗x`` and ``-g_a/12``
-    through ``x⊗x``; depth 2 gives ``g_mid = x G2ᵀ`` and ``g_x += mid G2``;
-    every depth ends with ``g_x += rev(g_mid) - g_mid/2 + G1``.
+    ``cot`` has the scan's shapes (the depth is ``len(cot)``); slot 0, the
+    identity, is inert.  The one-pass forward of :func:`_prefixes` runs in
+    reverse for depths 1-3, with ``mid`` and ``a`` recomputed.  Block ``b``
+    enters every checkpoint after it, so its level cotangent ``G_k`` sums
+    ``cot[k]`` over slots ``b+1..N``.  With ``G_k`` read at each step's block
+    and ``rev`` a cumulative sum over the whole path from the last step
+    back: depth 3 gives ``g_a = x G3ᵀ`` (``G3`` as ``(d², d)``) and
+    ``g_x += a G3``, then ``rev(g_a) - g_a/2 + G2`` flows through ``mid⊗x``
+    and ``-g_a/12`` through ``x⊗x``; depth 2 gives ``g_mid = x G2ᵀ`` and
+    ``g_x += mid G2``; every depth ends with ``g_x += rev(g_mid) - g_mid/2 + G1``.
     """
+    depth, d = len(cot), increments.shape[-1]
     if depth > 3:
-        raise ValueError(f"no closed-form block signature VJP at depth {depth} > 3")
-    x = increments
-    d = x.shape[-1]
-    g_x = np.repeat(cot[0][..., None, :], x.shape[-2], axis=-2)
+        raise ValueError(f"no closed-form checkpoint scan VJP at depth {depth} > 3")
+    if increments.shape[-2] == 0:  # an empty path: nothing to pull back
+        return np.zeros_like(increments)
+    x = increments.reshape(increments.shape[:-2] + (-1, fine_per_segment, d))
+    g = [_revcumsum(c[..., 1:, None, :]) for c in cot]  # (..., N, 1, d**k)
+    g_x = np.repeat(g[0], fine_per_segment, axis=-2)
     if depth == 1:
-        return g_x
-    mid = np.cumsum(x, axis=-2)
+        return g_x.reshape(increments.shape)
+    mid = np.cumsum(increments, axis=-2).reshape(x.shape)
     mid -= 0.5 * x
     if depth == 2:
-        g2 = cot[1].reshape(cot[1].shape[:-1] + (d, d))
+        g2 = g[1].reshape(g[1].shape[:-2] + (d, d))
         g_mid = x @ np.swapaxes(g2, -1, -2)
         g_x += mid @ g2
     else:
         step2 = _outer(mid, x)
-        a = np.cumsum(step2, axis=-2)
+        a = np.cumsum(step2.reshape(increments.shape[:-1] + (-1,)), axis=-2)
+        a = a.reshape(step2.shape)
         a -= 0.5 * step2
         a -= _outer(x, x) / 12.0
-        g3 = cot[2].reshape(cot[2].shape[:-1] + (d * d, d))
+        g3 = g[2].reshape(g[2].shape[:-2] + (d * d, d))
         g_a = x @ np.swapaxes(g3, -1, -2)
         g_x += a @ g3
         per_step = x.shape + (d,)
-        g_step2 = (_revcumsum(g_a) - 0.5 * g_a + cot[1][..., None, :]).reshape(per_step)
+        g_step2 = (_revcumsum(g_a) - 0.5 * g_a + g[1]).reshape(per_step)
         g_sq = g_a.reshape(per_step) / 12.0
         g_mid = (g_step2 @ x[..., None])[..., 0]
         g_x += (mid[..., None, :] @ g_step2)[..., 0, :]
         g_x -= ((g_sq + np.swapaxes(g_sq, -1, -2)) @ x[..., None])[..., 0]
     g_x += _revcumsum(g_mid)
     g_x -= 0.5 * g_mid
-    return g_x
-
-
-def checkpoint_scan_vjp(increments: np.ndarray, fine_per_segment: int,
-                        prefixes: Levels, cot: Levels) -> np.ndarray:
-    """Cotangent of :func:`checkpoint_scan` with respect to ``increments``.
-
-    ``prefixes`` is the scan's output and ``cot`` a cotangent of the same
-    shapes, one entry per checkpoint slot (slot 0, the identity, is inert).
-    The prefixes equal the chain ``prefix_n = prefix_{n-1} ⊗ block_n``, which
-    is walked back with :func:`product_vjp` (the VJP of the same function as
-    the one-pass scan), then one :func:`block_signatures_vjp` runs over all blocks.
-    """
-    d, depth = increments.shape[-1], len(prefixes)
-    if increments.shape[-2] == 0:  # an empty path: nothing to pull back
-        return np.zeros_like(increments)
-    blocks = increments.reshape(increments.shape[:-2] + (-1, fine_per_segment, d))
-    # product_vjp reads a block only below its top level
-    lower = block_signatures(blocks, depth - 1) if depth > 1 else []
-    block_cot = [np.empty_like(c[..., 1:, :]) for c in cot]
-    adj = identity_levels(blocks.shape[:-3], d, depth)
-    for seg in range(blocks.shape[-3], 0, -1):
-        adj = [a + c[..., seg, :] for a, c in zip(adj, cot)]
-        adj, g_block = product_vjp([p[..., seg - 1, :] for p in prefixes],
-                                   [b[..., seg - 1, :] for b in lower], adj)
-        for k in range(depth):
-            block_cot[k][..., seg - 1, :] = g_block[k]
-    return block_signatures_vjp(blocks, depth, block_cot).reshape(increments.shape)
+    return g_x.reshape(increments.shape)
 
 
 def increments_to_nodes_grad(grad_inc: np.ndarray) -> np.ndarray:

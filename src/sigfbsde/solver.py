@@ -110,8 +110,6 @@ class PayoffKind:
         """
         d = batch.states.shape[-1]
         if self.kind == "lookback":
-            if d != 1:
-                raise SpecError("lookback payoff is defined for a single asset")
             return batch.states[:, -1, 0] - batch.states[:, :, 0].min(axis=1), None
         w = np.full(d, 1.0 / d) if self.kind == "asian-basket-call" else np.ones(d)
         integral = sde.running_integral(batch, w)
@@ -153,6 +151,9 @@ class ExperimentSpec:
             raise SpecError(f"unknown feature kind {self.feature!r}")
         if self.depth < 1:
             raise SpecError(f"signature depth must be >= 1, got {self.depth}")
+        if self.payoff.kind == "lookback" and self.model.dim != 1:
+            raise SpecError(f"lookback payoff is defined for a single asset, "
+                            f"got d={self.model.dim}")
         if self.method == "reflected" and not self.payoff.supports_exercise:
             raise SpecError(
                 f"reflected method needs an early-exercise payoff, "
@@ -414,8 +415,7 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
         else:
             levels = engine.log_of_group_vjp(prefixes,
                                              lyndon.project_vjp(cot, d_hat, spec.depth))
-        grad_inc = engine.checkpoint_scan_vjp(increments, spec.grid.fine_per_segment,
-                                              prefixes, levels)
+        grad_inc = engine.checkpoint_scan_vjp(increments, spec.grid.fine_per_segment, levels)
         node_grads[rows, :n_scan + 1] = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
     return net.embed_backward(state.embedding, cache.stream, node_grads)
 

@@ -22,6 +22,13 @@ def signature(nodes, depth):
     return engine.signature_scan(np.diff(nodes, axis=0), depth)
 
 
+def whole_path_vjp(increments, cot):
+    """Cotangent of the increments for level cotangents ``cot`` on the whole
+    path's signature: the one-checkpoint case of the checkpoint scan VJP."""
+    slots = [np.stack([np.zeros_like(c), c], axis=-2) for c in cot]
+    return engine.checkpoint_scan_vjp(increments, increments.shape[-2], slots)
+
+
 def central_difference(f, x, eps=1e-5):
     """Central finite-difference gradient of a scalar function of an array."""
     x = np.asarray(x, dtype=float)

@@ -132,6 +132,21 @@ def tiny_quadratic_overrides(**extra):
     return doc
 
 
+def poison_batches_after(monkeypatch, k):
+    """Give every simulated batch after the first ``k`` a NaN state, so the
+    loss turns non-finite after ``k`` finished iterations."""
+    simulate, calls = sde.simulate_batch, []
+
+    def poisoned(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        calls.append(None)
+        if len(calls) > k:
+            batch.states[0, 1, 0] = np.nan
+        return batch
+
+    monkeypatch.setattr(sde, "simulate_batch", poisoned)
+
+
 class TestRunExperiment:
     def test_quadratic_summary_and_files(self, tmp_path):
         out = str(tmp_path / "results")
@@ -168,19 +183,8 @@ class TestRunExperiment:
         assert curve == "iteration,loss,y0_estimate,elapsed_s\n"
 
     def test_abort_leaves_partial_curve(self, tmp_path, monkeypatch):
-        # the batch of iteration k carries a NaN state, so the loss turns
-        # non-finite after k finished iterations
-        k, simulate = 3, sde.simulate_batch
-        calls = []
-
-        def poisoned(*args, **kwargs):
-            batch = simulate(*args, **kwargs)
-            calls.append(None)
-            if len(calls) > k:
-                batch.states[0, 1, 0] = np.nan
-            return batch
-
-        monkeypatch.setattr(sde, "simulate_batch", poisoned)
+        k = 3
+        poison_batches_after(monkeypatch, k)
         out = tmp_path / "aborted"
         cfg = harness.load_config(overrides=tiny_quadratic_overrides(
             out=str(out), method="backward", runs=1, workers=1))
@@ -191,6 +195,23 @@ class TestRunExperiment:
         rows = (out / "curve_run0.csv").read_text().splitlines()
         assert rows[0] == "iteration,loss,y0_estimate,elapsed_s"
         assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(k)]
+        assert not (out / "report.json").exists()
+
+    def test_abort_in_a_later_run_keeps_the_curves_before_it(self, tmp_path, monkeypatch):
+        # run 0 finishes its 6 iterations; run 1 aborts after k of them
+        k = 2
+        poison_batches_after(monkeypatch, 6 + k)
+        out = tmp_path / "aborted"
+        cfg = harness.load_config(overrides=tiny_quadratic_overrides(
+            out=str(out), method="backward", runs=3, workers=1))
+        with pytest.raises(solver.SolverAbort) as err:
+            harness.run_experiment(cfg)
+        assert err.value.iteration == k
+        for run, rows in ((0, 6), (1, k)):
+            lines = (out / f"curve_run{run}.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(rows)]
+        assert not (out / "curve_run2.csv").exists()
+        assert not (out / "summary.csv").exists()
         assert not (out / "report.json").exists()
 
     def test_emission_is_deterministic(self, tmp_path):
@@ -388,6 +409,19 @@ class TestCli:
                          "--set", "reference_paths=500"])
         assert code == 2
         assert "reference_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--experiment", "lookback", "--profile", "desk", "--set", "method=backward"],
+        ["run", "--experiment", "lookback", "--profile", "desk", "--set", "method=forward"],
+        ["oracle", "--experiment", "lookback"]])
+    def test_multi_asset_lookback_exits_two_before_simulating(self, command, capsys,
+                                                              monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a batch")
+
+        monkeypatch.setattr(sde, "simulate_batch", never)
+        assert cli.main(command + ["--set", "d=2"]) == 2
+        assert "single asset" in capsys.readouterr().err
 
     def test_numerical_abort_exit_three(self, capsys):
         code = cli.main(["run", "--experiment", "quadratic",

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from sigfbsde import net, sde
 from sigfbsde.sigcore import engine
-from conftest import central_difference, signature
+from conftest import central_difference, signature, whole_path_vjp
 
 
 def preactivations(params, x):
@@ -473,8 +473,8 @@ class TestEmbedding:
 
         embedded = net.embed_stream(params, stream)
         nodes = np.concatenate([times[:, None], embedded], axis=1)
-        node_grads = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
-            np.diff(nodes, axis=0), depth, engine.split_flat(cot, 3, depth)))
+        node_grads = engine.increments_to_nodes_grad(whole_path_vjp(
+            np.diff(nodes, axis=0), engine.split_flat(cot, 3, depth)))
         grad = net.embed_backward(params, stream, node_grads[:, 1:])
         np.testing.assert_allclose(grad, central_difference(objective, params.weight),
                                    rtol=1e-5, atol=1e-6)
@@ -510,8 +510,8 @@ class TestEmbedding:
 
         embedded = net.embed_stream(params, stream)
         nodes = np.concatenate([times[:, None], embedded], axis=1)
-        node_grads = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
-            np.diff(nodes, axis=0), depth, engine.split_flat(cot, 3, depth)))
+        node_grads = engine.increments_to_nodes_grad(whole_path_vjp(
+            np.diff(nodes, axis=0), engine.split_flat(cot, 3, depth)))
         grad = net.embed_backward(params, stream, node_grads[:, 1:])
 
         numeric_w = central_difference(lambda _: objective(None), params.weight)

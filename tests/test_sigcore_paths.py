@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sigfbsde.sigcore import engine, lyndon
-from conftest import central_difference, signature
+from conftest import central_difference, signature, whole_path_vjp
 
 
 def l_shaped_nodes():
@@ -133,13 +133,13 @@ class TestLogSignature:
 
 
 class TestSignaturePullback:
-    """Node gradients of ``<cot, signature(nodes)>``: the one-block reverse
-    pass, then increments to nodes."""
+    """Node gradients of ``<cot, signature(nodes)>``: the one-checkpoint
+    reverse pass, then increments to nodes."""
 
     def test_depth_one_gradient_is_pm_one(self):
         nodes = np.array([[0.2], [0.9], [0.4]])
         grad = engine.increments_to_nodes_grad(
-            engine.block_signatures_vjp(np.diff(nodes, axis=0), 1, [np.array([1.0])]))
+            whole_path_vjp(np.diff(nodes, axis=0), [np.array([1.0])]))
         np.testing.assert_allclose(grad, [[-1.0], [0.0], [1.0]])
 
     def test_single_segment_level_two_gradient(self):
@@ -147,7 +147,7 @@ class TestSignaturePullback:
         nodes = np.array([[0.1], [0.1 + delta]])
         cot = [np.array([0.0]), np.array([1.0])]  # weight on the level-2 coefficient
         grad = engine.increments_to_nodes_grad(
-            engine.block_signatures_vjp(np.diff(nodes, axis=0), 2, cot))
+            whole_path_vjp(np.diff(nodes, axis=0), cot))
         np.testing.assert_allclose(grad, [[-delta], [delta]], rtol=1e-12)
 
     def test_matches_central_differences(self, rng):
@@ -157,8 +157,8 @@ class TestSignaturePullback:
         def objective(x):
             return float(cot @ engine.flatten_levels(signature(x, 3)))
 
-        grad = engine.increments_to_nodes_grad(engine.block_signatures_vjp(
-            np.diff(nodes, axis=0), 3, engine.split_flat(cot, 2, 3)))
+        grad = engine.increments_to_nodes_grad(whole_path_vjp(
+            np.diff(nodes, axis=0), engine.split_flat(cot, 2, 3)))
         numeric = central_difference(objective, nodes.copy())
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7)
 
@@ -167,7 +167,7 @@ class TestSignaturePullback:
         nodes = rng.standard_normal((5, 2))
         cot = engine.split_flat(rng.standard_normal(engine.sig_width(2, 3)), 2, 3)
         grad = engine.increments_to_nodes_grad(
-            engine.block_signatures_vjp(np.diff(nodes, axis=0), 3, cot))
+            whole_path_vjp(np.diff(nodes, axis=0), cot))
         np.testing.assert_allclose(grad.sum(axis=0), 0.0, atol=1e-12)
 
     def test_cotangent_shape_checked(self):

@@ -6,12 +6,76 @@ from hypothesis import given, settings, strategies as st
 
 from sigfbsde import sde
 from sigfbsde.sigcore import engine, lyndon
-from conftest import central_difference, signature
+from conftest import central_difference, signature, whole_path_vjp
 
 
 def random_levels(rng, batch, channels, depth, scale=0.5):
     return [scale * rng.standard_normal(batch + (channels ** k,))
             for k in range(1, depth + 1)]
+
+
+def whole_signature(inc, depth):
+    """Signature of the whole path: the last slot of a one-checkpoint scan."""
+    return [lvl[..., -1, :] for lvl in engine.checkpoint_scan(inc, inc.shape[-2], depth)]
+
+
+def _outer(a, b):
+    return np.einsum("...i,...j->...ij", a, b).reshape(a.shape[:-1] + (-1,))
+
+
+def _revcumsum(a):
+    return np.cumsum(a[..., ::-1, :], axis=-2)[..., ::-1, :]
+
+
+def product_chain_vjp(increments, every, cot):
+    """Reference reverse pass of the checkpoint scan.
+
+    The prefixes are the chain ``prefix_n = prefix_{n-1} ⊗ block_n``, walked
+    back one block at a time with ``product_vjp``; each block's cotangent
+    then goes through the closed-form reverse of the block's own one-pass
+    signature, with sums restarted per block.
+    """
+    d, depth = increments.shape[-1], len(cot)
+    blocks = increments.reshape(increments.shape[:-2] + (-1, every, d))
+    prefixes = engine.checkpoint_scan(increments, every, depth)
+    lower = whole_signature(blocks, depth - 1) if depth > 1 else []
+    block_cot = [np.empty_like(c[..., 1:, :]) for c in cot]
+    adj = engine.identity_levels(blocks.shape[:-3], d, depth)
+    for seg in range(blocks.shape[-3], 0, -1):
+        adj = [a + c[..., seg, :] for a, c in zip(adj, cot)]
+        adj, g_block = engine.product_vjp([p[..., seg - 1, :] for p in prefixes],
+                                          [b[..., seg - 1, :] for b in lower], adj)
+        for k in range(depth):
+            block_cot[k][..., seg - 1, :] = g_block[k]
+
+    x, cot = blocks, block_cot
+    g_x = np.repeat(cot[0][..., None, :], every, axis=-2)
+    if depth == 1:
+        return g_x.reshape(increments.shape)
+    mid = np.cumsum(x, axis=-2)
+    mid -= 0.5 * x
+    if depth == 2:
+        g2 = cot[1].reshape(cot[1].shape[:-1] + (d, d))
+        g_mid = x @ np.swapaxes(g2, -1, -2)
+        g_x += mid @ g2
+    else:
+        step2 = _outer(mid, x)
+        a = np.cumsum(step2, axis=-2)
+        a -= 0.5 * step2
+        a -= _outer(x, x) / 12.0
+        g3 = cot[2].reshape(cot[2].shape[:-1] + (d * d, d))
+        g_a = x @ np.swapaxes(g3, -1, -2)
+        g_x += a @ g3
+        per_step = x.shape + (d,)
+        g_step2 = (_revcumsum(g_a) - 0.5 * g_a
+                   + cot[1][..., None, :]).reshape(per_step)
+        g_sq = g_a.reshape(per_step) / 12.0
+        g_mid = (g_step2 @ x[..., None])[..., 0]
+        g_x += (mid[..., None, :] @ g_step2)[..., 0, :]
+        g_x -= ((g_sq + np.swapaxes(g_sq, -1, -2)) @ x[..., None])[..., 0]
+    g_x += _revcumsum(g_mid)
+    g_x -= 0.5 * g_mid
+    return g_x.reshape(increments.shape)
 
 
 def as_levels(*levels):
@@ -93,15 +157,6 @@ class TestProduct:
                 for level, grad in zip(levels, grads):
                     np.testing.assert_allclose(grad, central_difference(objective, level),
                                                rtol=1e-6, atol=1e-8)
-
-
-class TestChenStep:
-    def test_matches_product_with_segment_exp(self, rng):
-        for depth in (1, 2, 3, 4):
-            levels = engine.exp_of_lie(random_levels(rng, (4,), 3, depth))
-            inc = rng.standard_normal((4, 3))
-            want = engine.product(levels, engine.segment_exp(inc, depth))
-            assert levels_close(engine.chen_step(levels, inc), want)
 
 
 class TestExp:
@@ -220,7 +275,7 @@ class TestBlockKernels:
     def test_block_signatures_match_scan(self, shape):
         d, depth, m, batch, seed = shape
         inc = np.random.default_rng(seed).standard_normal(batch + (m, d))
-        got = engine.block_signatures(inc, depth)
+        got = whole_signature(inc, depth)
         want = engine.signature_scan(inc, depth)
         assert len(got) == depth
         for g, w in zip(got, want):
@@ -250,7 +305,8 @@ class TestBlockKernels:
         got = engine.checkpoint_scan(inc, grid.fine_per_segment, 3)
         levels = engine.identity_levels((100,), 2, 3)
         for step in range(grid.n_fine):
-            levels = engine.chen_step(levels, inc[:, step].astype(np.longdouble))
+            levels = engine.product(
+                levels, engine.segment_exp(inc[:, step].astype(np.longdouble), 3))
             if (step + 1) % grid.fine_per_segment == 0:
                 for g, w in zip(got, levels):
                     err = np.abs(g[:, (step + 1) // grid.fine_per_segment] - w)
@@ -270,7 +326,7 @@ class TestBlockKernels:
                 np.testing.assert_allclose(g[..., seg, :], w, rtol=1e-12, atol=1e-13)
 
     @given(_shapes)
-    def test_block_signatures_vjp_matches_central_differences(self, shape):
+    def test_whole_path_vjp_matches_central_differences(self, shape):
         d, depth, m, batch, seed = shape
         rng = np.random.default_rng(seed)
         inc = rng.standard_normal(batch + (m, d))
@@ -278,9 +334,9 @@ class TestBlockKernels:
 
         def objective(x):
             return sum(float(np.sum(c * lvl))
-                       for c, lvl in zip(cot, engine.block_signatures(x, depth)))
+                       for c, lvl in zip(cot, whole_signature(x, depth)))
 
-        got = engine.block_signatures_vjp(inc, depth, cot)
+        got = whole_path_vjp(inc, cot)
         np.testing.assert_allclose(got, central_difference(objective, inc),
                                    rtol=1e-6, atol=1e-6)
 
@@ -297,9 +353,23 @@ class TestBlockKernels:
             return sum(float(np.sum(c * lvl))
                        for c, lvl in zip(cot, engine.checkpoint_scan(x, m, depth)))
 
-        got = engine.checkpoint_scan_vjp(inc, m, prefixes, cot)
+        got = engine.checkpoint_scan_vjp(inc, m, cot)
         np.testing.assert_allclose(got, central_difference(objective, inc),
                                    rtol=1e-6, atol=1e-6)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 4),
+           st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 2 ** 32 - 1))
+    def test_checkpoint_scan_vjp_matches_product_chain(self, d, depth, n_seg, m,
+                                                        batch, seed):
+        rng = np.random.default_rng(seed)
+        inc = rng.standard_normal(batch + (n_seg * m, d))
+        cot = [rng.standard_normal(batch + (n_seg + 1, d ** k))
+               for k in range(1, depth + 1)]
+        got = engine.checkpoint_scan_vjp(inc, m, cot)
+        want = product_chain_vjp(inc, m, cot)
+        if n_seg == 1:
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("batch", [(), (3,), (2, 1)])
@@ -311,13 +381,13 @@ class TestBlockKernels:
         assert not any(np.any(p) for p in prefixes)
         if depth <= 3:
             cot = [np.ones(p.shape) for p in prefixes]
-            assert engine.checkpoint_scan_vjp(inc, 4, prefixes, cot).shape == inc.shape
+            assert engine.checkpoint_scan_vjp(inc, 4, cot).shape == inc.shape
 
     def test_reverse_pass_rejects_depth_beyond_three(self, rng):
-        inc = rng.standard_normal((5, 2))
-        cot = [np.ones(2 ** k) for k in range(1, 5)]
+        inc = rng.standard_normal((6, 2))
+        cot = [np.ones((3, 2 ** k)) for k in range(1, 5)]
         with pytest.raises(ValueError, match="depth 4"):
-            engine.block_signatures_vjp(inc, 4, cot)
+            engine.checkpoint_scan_vjp(inc, 3, cot)
 
 
 _series = st.tuples(
@@ -334,9 +404,9 @@ class TestAlgebraProperties:
     def test_chen_identity_joins_block_signatures(self, shape, first, second):
         d, depth, batch, seed = shape
         inc = np.random.default_rng(seed).standard_normal(batch + (first + second, d))
-        joined = engine.block_signatures(inc, depth)
-        chained = engine.product(engine.block_signatures(inc[..., :first, :], depth),
-                                 engine.block_signatures(inc[..., first:, :], depth))
+        joined = whole_signature(inc, depth)
+        chained = engine.product(whole_signature(inc[..., :first, :], depth),
+                                 whole_signature(inc[..., first:, :], depth))
         for c, j in zip(chained, joined):
             np.testing.assert_allclose(c, j, rtol=1e-12, atol=1e-13)
 
