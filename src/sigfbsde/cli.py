@@ -155,8 +155,8 @@ def _selftest_checks():
         # host, while each date alone, a stack of one, stays on one block;
         # then the stack again through sub-blocks of one date, which the
         # backward pass recomputes
-        spec, scale = net.MlpSpec(3, 2, hidden=(8, 8)), np.array([1.0, 0.5, 0.1])
-        nets = net.init_mlp(spec, range(4), zero_output=False, input_scale=scale)
+        spec = net.MlpSpec(3, 2, hidden=(8, 8))
+        nets = net.init_mlp(spec, range(4), zero_output=False)
         x = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 3))
         cot = rng.standard_normal((4, net.PARALLEL_MIN_ROWS, 2))
 
@@ -175,7 +175,7 @@ def _selftest_checks():
         if any(a.tobytes() != b.tobytes() for a, b in zip(split, one_date)):
             return False
         for n in range(4):
-            alone = run(net.init_mlp(spec, [n], zero_output=False, input_scale=scale),
+            alone = run(net.init_mlp(spec, [n], zero_output=False),
                         x[n:n + 1], cot[n:n + 1])
             if any(whole[n:n + 1].tobytes() != part.tobytes()
                    for whole, part in zip(split, alone)):

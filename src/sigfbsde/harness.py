@@ -137,6 +137,8 @@ def _quadratic_references(cfg: HarnessConfig) -> dict:
 
 
 def _amerasian_check(doc: dict):
+    if doc["x0"] <= 0:
+        raise ConfigError(f"the geometric model needs positive x0, got x0={doc['x0']}")
     if doc["reference_paths"] < oracle.MIN_MC_PATHS:
         raise ConfigError(f"reference_paths={doc['reference_paths']} must be "
                           f"at least {oracle.MIN_MC_PATHS}")
@@ -228,14 +230,17 @@ def experiment_defaults(experiment: str, profile: str, method: str | None = None
 def load_config(path: str | None = None, overrides: dict | None = None) -> HarnessConfig:
     """Resolve defaults, an optional JSON document, and explicit overrides.
 
-    Later sources win.  Unknown keys, impossible grids, inconsistent sizes
-    and configs outside the experiment's oracle are rejected with every
-    offending key named.
+    Later sources win.  An unreadable or malformed document, unknown keys,
+    impossible grids, inconsistent sizes and configs outside the
+    experiment's oracle are rejected with every offending key named.
     """
     doc: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config document {path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config document {path} must be a JSON object")
         doc.update(loaded)

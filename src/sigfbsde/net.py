@@ -59,26 +59,19 @@ class MlpSpec:
 
 @dataclass
 class MlpParams:
-    """A stack of ``N`` nets' trainable layers plus an optional fixed
-    per-input multiplier.
-
-    Net ``n`` is slice ``[n]`` of every layer.  ``input_scale`` (shape
-    ``(in_dim,)``) rescales the input before the first affine layer; it is
-    not trainable and not in :meth:`parameters`.
-    """
+    """A stack of ``N`` nets' trainable layers; net ``n`` is slice ``[n]``
+    of every layer."""
 
     spec: MlpSpec
     weights: list            # weights[l]: (N, widths[l], widths[l+1])
     biases: list             # biases[l]: (N, 1, widths[l+1])
-    input_scale: np.ndarray | None = None
 
     def parameters(self) -> list:
         """Flat parameter list, weights interleaved with biases."""
         return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
-def init_mlp(spec: MlpSpec, seeds, zero_output: bool = True,
-             input_scale: np.ndarray | None = None) -> MlpParams:
+def init_mlp(spec: MlpSpec, seeds, zero_output: bool = True) -> MlpParams:
     """A stack of one net per seed, He-uniform fan-in initialised; the
     output layer starts at zero.
 
@@ -99,7 +92,7 @@ def init_mlp(spec: MlpSpec, seeds, zero_output: bool = True,
             bound = np.sqrt(6.0 / widths[l])  # fan-in
             weights.append(np.stack([rng.uniform(-bound, bound, size=size) for rng in rngs]))
         biases.append(np.zeros((len(rngs), 1, widths[l + 1])))
-    return MlpParams(spec, weights, biases, input_scale)
+    return MlpParams(spec, weights, biases)
 
 
 def _date_blocks(x: np.ndarray) -> list:
@@ -110,30 +103,26 @@ def _date_blocks(x: np.ndarray) -> list:
 
 
 def _layer_buffers(params: MlpParams, shape: tuple) -> list:
-    """C-contiguous buffers for the input and hidden layers of an input of
-    ``shape``; ``None`` for an unscaled input, which is read from ``x``.
+    """C-contiguous buffers for the hidden layers of an input of ``shape``.
 
     Every date of a buffer has the same strides whatever its date count: a
     strided dot product's last bit can depend on them.
     """
-    bufs = [None if params.input_scale is None else np.empty(shape)]
-    return bufs + [np.empty(shape[:-1] + (w,)) for w in params.spec.hidden]
+    return [np.empty(shape[:-1] + (w,)) for w in params.spec.hidden]
 
 
 def _sub_blocks(x: np.ndarray, bufs: list, a, b) -> list:
     """``(dates, layers)`` of each sub-block of dates ``a:b``, as many dates
-    as ``bufs`` hold: the slice of its dates and its views of the input and
-    hidden layers."""
-    size = max((len(buf) for buf in bufs if buf is not None), default=b - a)
+    as ``bufs`` hold: the slice of its dates and its views of the input,
+    which is read from ``x``, and of the hidden layers."""
+    size = len(bufs[0]) if bufs else b - a
     spans = [(slice(n, min(n + size, b)), slice(0, min(size, b - n)))
              for n in range(a, b, size)]
-    return [(d, [x[d] if buf is None else buf[rows] for buf in bufs]) for d, rows in spans]
+    return [(d, [x[d]] + [buf[rows] for buf in bufs]) for d, rows in spans]
 
 
-def _hidden(params: MlpParams, x: np.ndarray, layers: list, d: slice):
-    """Compute the (scaled) input and hidden layers of dates ``d`` into ``layers``."""
-    if params.input_scale is not None:
-        np.multiply(x[d], params.input_scale, out=layers[0])
+def _hidden(params: MlpParams, layers: list, d: slice):
+    """Compute the hidden layers of dates ``d`` into ``layers``."""
     for l in range(1, len(layers)):
         h = np.matmul(layers[l - 1], params.weights[l - 1][d], out=layers[l])
         h += params.biases[l - 1][d]
@@ -145,7 +134,7 @@ def _forward_dates(params: MlpParams, x: np.ndarray, out: np.ndarray, buffers: d
     """Write the output of dates ``a:b``, one sub-block at a time through
     the block's buffers, which are left holding the last sub-block."""
     for d, layers in _sub_blocks(x, buffers[a, b], a, b):
-        _hidden(params, x, layers, d)
+        _hidden(params, layers, d)
         h = np.matmul(layers[-1], params.weights[-1][d], out=out[d])
         h += params.biases[-1][d]
 
@@ -154,10 +143,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     """Affine/relu chain; returns ``(output, cache)``.
 
     A stack of ``N`` nets takes ``(N, B, in_dim)`` and applies net ``n`` to
-    ``x[n]``, after multiplying by ``params.input_scale`` (when set).  It
-    runs on contiguous blocks of its dates side by side, and each block
-    runs through buffers of a few dates (see :data:`SUB_BLOCK_ROWS`).  The
-    cache is ``(x, buffers)``: the buffers hold each block's last sub-block.
+    ``x[n]``.  It runs on contiguous blocks of its dates side by side, and
+    each block runs through buffers of a few dates (see
+    :data:`SUB_BLOCK_ROWS`).  The cache is ``(x, buffers)``: the buffers
+    hold each block's last sub-block.
     """
     spec, stack = params.spec, len(params.weights[0])
     if x.ndim != 3 or x.shape[0] != stack or x.shape[-1] != spec.in_dim:
@@ -179,7 +168,7 @@ def _backward_dates(params: MlpParams, x: np.ndarray, buffers: dict, cotangent: 
     the same calls on the same data."""
     for i, (d, layers) in enumerate(reversed(_sub_blocks(x, buffers[a, b], a, b))):
         if i:
-            _hidden(params, x, layers, d)
+            _hidden(params, layers, d)
         g = cotangent[d]
         for l in range(len(params.weights) - 1, -1, -1):
             np.matmul(layers[l].swapaxes(-1, -2), g, out=grads[2 * l][d])
@@ -187,9 +176,7 @@ def _backward_dates(params: MlpParams, x: np.ndarray, buffers: dict, cotangent: 
             w_t = params.weights[l][d].swapaxes(-1, -2)
             if not l:
                 if input_grad is not None:
-                    g = np.matmul(g, w_t, out=input_grad[d])
-                    if params.input_scale is not None:
-                        g *= params.input_scale
+                    np.matmul(g, w_t, out=input_grad[d])
                 break
             # layer l is spent and takes the cotangent, after its relu mask
             # post > 0 (equal to pre > 0) is taken
@@ -206,8 +193,8 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
     ``out`` when given (C-contiguous, of the parameters' shapes), which
     are written in place, else new ones.  Gradients are summed over the
     batch axis of the cotangent, per net.  ``input_grad`` is taken with
-    respect to the unscaled input ``x`` of :func:`mlp_forward`; it is
-    ``None`` unless ``need_input_grad``, which skips the layer-0 product.
+    respect to the input ``x`` of :func:`mlp_forward`; it is ``None`` unless
+    ``need_input_grad``, which skips the layer-0 product.
     The pass spends the cache's buffers and writes nothing else but its
     results, so ``cotangent`` may be the forward pass's output.  It runs on
     the same date blocks as the forward pass, side by side.
@@ -276,42 +263,27 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray):
     param -= s
 
 
-@dataclass
-class EmbeddingParams:
-    """Pointwise linear map applied to every node of a value stream.
+def init_embedding(in_dim: int, out_dim: int, seed: int) -> np.ndarray:
+    """Weight ``(in_dim, out_dim)`` of a pointwise linear map, applied to
+    every node of a value stream.
 
     It has no bias, which would cancel in the increments signatures see.
-    ``input_scale`` (shape ``(d,)``) is a fixed, non-trainable per-channel
-    multiplier applied before the linear map; ``None`` leaves the stream as
-    it is.  It is folded into the weight, so the stream is never copied.
     """
-
-    weight: np.ndarray   # (d, d_out)
-    input_scale: np.ndarray | None = None
-
-
-def init_embedding(in_dim: int, out_dim: int, seed: int,
-                   input_scale: np.ndarray | None = None) -> EmbeddingParams:
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / in_dim)
-    return EmbeddingParams(rng.uniform(-bound, bound, size=(in_dim, out_dim)),
-                           input_scale)
+    return rng.uniform(-bound, bound, size=(in_dim, out_dim))
 
 
-def embed_stream(params: EmbeddingParams, stream: np.ndarray) -> np.ndarray:
+def embed_stream(weight: np.ndarray, stream: np.ndarray) -> np.ndarray:
     """Map a ``(..., n+1, d)`` stream nodewise to ``(..., n+1, d_out)``."""
-    if stream.shape[-1] != params.weight.shape[0]:
+    if stream.shape[-1] != weight.shape[0]:
         raise ValueError(
             f"stream has {stream.shape[-1]} channels, embedding expects "
-            f"{params.weight.shape[0]}")
-    weight = params.weight
-    if params.input_scale is not None:
-        weight = params.input_scale[:, None] * weight
+            f"{weight.shape[0]}")
     return stream @ weight
 
 
-def embed_backward(params: EmbeddingParams, stream: np.ndarray,
-                   cotangent: np.ndarray) -> np.ndarray:
+def embed_backward(stream: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     """Reverse of :func:`embed_stream` on ``stream``; returns ``dW``.
 
     ``dW`` is one product over every node of the batch, taken as
@@ -320,7 +292,4 @@ def embed_backward(params: EmbeddingParams, stream: np.ndarray,
     """
     flat_in = stream.reshape(-1, stream.shape[-1])
     flat_g = cotangent.reshape(-1, cotangent.shape[-1])
-    grad = (flat_g.T @ flat_in).T
-    if params.input_scale is not None:
-        grad *= params.input_scale[:, None]
-    return grad
+    return (flat_g.T @ flat_in).T

@@ -188,12 +188,14 @@ class TrainState:
     ``n``.  Every trainable array is a view of the one flat buffer ``params``,
     in :func:`trainables` order, and ``adam`` is the one Adam state over it.
     ``grad`` has the same structure over a buffer of its own, into which
-    each training step writes its gradients.
+    each training step writes its gradients.  Without an embedding,
+    ``input_scale`` holds the fixed :func:`feature_input_scale`.
     """
 
     nets: net.MlpParams
     y0: np.ndarray | None = None
-    embedding: net.EmbeddingParams | None = None
+    embedding: np.ndarray | None = None
+    input_scale: np.ndarray | None = None
     params: np.ndarray | None = None
     grad: TrainState | None = None
     adam: net.AdamState | None = None
@@ -206,7 +208,7 @@ def trainables(state: TrainState) -> list:
     if state.y0 is not None:
         out.append(state.y0)
     if state.embedding is not None:
-        out.append(state.embedding.weight)
+        out.append(state.embedding)
     return out
 
 
@@ -222,7 +224,7 @@ def _pack(state: TrainState) -> TrainState:
     if state.y0 is not None:
         state.y0 = next(views)
     if state.embedding is not None:
-        state.embedding.weight = next(views)
+        state.embedding = next(views)
     return state
 
 
@@ -263,18 +265,16 @@ def init_state(spec: ExperimentSpec) -> TrainState:
     """Fresh approximators, initial value and embedding, packed into one buffer."""
     # each approximator maps features to a row vector against the Brownian motion
     mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim)
-    # the |x0| conditioning sits in the embedding when there is one, else in the nets
-    input_scale = feature_input_scale(spec) if spec.embed_dim is None else None
     state = TrainState(nets=net.init_mlp(
-        mlp_spec, [derive_seed(spec.seed, 1, n) for n in range(spec.grid.n_coarse)],
-        input_scale=input_scale))
+        mlp_spec, [derive_seed(spec.seed, 1, n) for n in range(spec.grid.n_coarse)]))
     if spec.method == "forward":
         y0 = spec.y0_init if spec.y0_init is not None else pilot_estimate(spec)
         state.y0 = np.asarray(float(y0))
     if spec.embed_dim is not None:
         state.embedding = net.init_embedding(spec.model.dim, spec.embed_dim,
-                                             derive_seed(spec.seed, 3),
-                                             input_scale=1.0 / feature_scale(spec.model))
+                                             derive_seed(spec.seed, 3))
+    else:
+        state.input_scale = feature_input_scale(spec)
     _pack(state)
     state.grad = _pack(copy.deepcopy(state))
     state.grad.params[:] = 0.0
@@ -301,9 +301,8 @@ def feature_scale(model: sde.ModelSpec) -> np.ndarray:
 
     The approximators see the path as if its state channels were divided by
     this scale, which keeps level-``k`` inputs from growing like
-    ``|x0|**k`` and swamping them.  The division is not applied to the
-    features themselves: it is a fixed input scale of the approximators,
-    see :func:`feature_input_scale` and :func:`init_state`.
+    ``|x0|**k`` and swamping them.  The path is not divided: the solver
+    scales the features (:func:`feature_input_scale`) or the embedding.
     """
     scale = np.abs(np.asarray(model.x0, dtype=float))
     scale[scale == 0.0] = 1.0
@@ -345,9 +344,9 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
 
     Feature ``n`` is the raw (log-)signature of the time-augmented (and
     optionally embedded) path up to coarse date ``n``; feature 0 is
-    identically zero.  The ``|x0|`` conditioning is not applied here: it is
-    a fixed input scale of the approximators (the stacked nets, or the
-    embedding when there is one).  Returns ``(features, cache)`` where
+    identically zero.  Row ``i`` of the embedding is divided by
+    :func:`feature_scale` ``[i]``; plain features stay raw, and
+    :func:`train_step` scales them.  Returns ``(features, cache)`` where
     ``cache`` is ``None`` unless an embedding is being trained.
 
     Paths never mix, so the per-path stages (embedding, time augmentation,
@@ -365,12 +364,14 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     times = np.arange(n_scan + 1) * grid.h
     features = np.empty((grid.n_coarse, size, width))
     chunks = []
+    if state.embedding is not None:
+        weight = (1.0 / feature_scale(spec.model))[:, None] * state.embedding
     paths = max(1, FEATURE_CHUNK_VALUES // _values_per_path(spec, grid))
     for start, stop in sde._blocks(size, -(-size // paths)):
         rows = slice(start, stop)
         values = batch.states[rows, :n_scan + 1]
         if state.embedding is not None:
-            values = net.embed_stream(state.embedding, values)
+            values = net.embed_stream(weight, values)
         nodes = np.concatenate(
             [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values],
             axis=-1)
@@ -401,8 +402,9 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
 
     The reverse pass runs chunk by chunk over the cache, writing each
     chunk's node gradients into one ``(B, n+1, embed_dim)`` buffer; the
-    embedding gradient is then one product over the whole batch.  The nodes
-    of the last segment, which no feature reads, get zero gradients.
+    embedding gradient is then one product over the whole batch, scaled
+    as in :func:`features_for_batch`.  The nodes of the last segment, which
+    no feature reads, get zero gradients.
     """
     d_hat = spec.stream_channels
     n_scan = (spec.grid.n_coarse - 1) * spec.grid.fine_per_segment
@@ -417,7 +419,9 @@ def features_backward(state: TrainState, spec: ExperimentSpec,
                                              lyndon.project_vjp(cot, d_hat, spec.depth))
         grad_inc = engine.checkpoint_scan_vjp(increments, spec.grid.fine_per_segment, levels)
         node_grads[rows, :n_scan + 1] = engine.increments_to_nodes_grad(grad_inc)[..., 1:]
-    return net.embed_backward(state.embedding, cache.stream, node_grads)
+    grad = net.embed_backward(cache.stream, node_grads)
+    grad *= (1.0 / feature_scale(spec.model))[:, None]
+    return grad
 
 
 def _scheme(spec: ExperimentSpec) -> tuple:
@@ -490,6 +494,8 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
+    if state.input_scale is not None:
+        features *= state.input_scale
     ys, payoff, (zs, cache), masks = rollout(state, spec, batch, features,
                                              batch.coarse_increments)
     sign, dates = _scheme(spec)
@@ -521,8 +527,7 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
         if sign > 0:
             state.grad.y0[...] = np.sum(adj)
         if fcache is not None:
-            state.grad.embedding.weight[...] = features_backward(state, spec, fcache,
-                                                                 feature_cots)
+            state.grad.embedding[...] = features_backward(state, spec, fcache, feature_cots)
         net.adam_step(state.adam, state.params, state.grad.params)
         state.iteration += 1
     return state, loss, float(state.y0) if sign > 0 else estimate

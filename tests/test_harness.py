@@ -423,6 +423,36 @@ class TestCli:
         assert cli.main(command + ["--set", "d=2"]) == 2
         assert "single asset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0", ["-5", "0"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--experiment", "amerasian", "--profile", "desk", "--set", "iterations=1",
+         "--set", "runs=1", "--set", "reference_paths=1000"],
+        ["oracle", "--experiment", "amerasian"]])
+    def test_non_positive_amerasian_spot_exits_two_before_simulating(self, command, x0,
+                                                                     capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a batch")
+
+        monkeypatch.setattr(sde, "simulate_batch", never)
+        assert cli.main(command + ["--set", f"x0={x0}"]) == 2
+        assert f"x0={float(x0)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, '{"experiment": "lookback",'],
+                             ids=["missing", "malformed"])
+    def test_bad_config_file_exits_two_before_training(self, tmp_path, capsys,
+                                                       monkeypatch, content):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a batch")
+
+        path, out = tmp_path / "cfg.json", tmp_path / "never"
+        if content is not None:
+            path.write_text(content)
+        monkeypatch.setattr(sde, "simulate_batch", never)
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_abort_exit_three(self, capsys):
         code = cli.main(["run", "--experiment", "quadratic",
                          "--profile", "desk",

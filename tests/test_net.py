@@ -13,21 +13,20 @@ from conftest import central_difference, signature, whole_path_vjp
 
 def preactivations(params, x):
     """Every layer's preactivation of a stack, computed from the parameters."""
-    pre, h = [], x if params.input_scale is None else x * params.input_scale
+    pre, h = [], x
     for w, b in zip(params.weights, params.biases):
         pre.append(h @ w + b)
         h = np.maximum(pre[-1], 0.0)
     return pre
 
 
-def random_mlp(rng, spec, n_nets=1, seed=0, input_scale=None, kink_margin=1e-2, tries=50):
+def random_mlp(rng, spec, n_nets=1, seed=0, kink_margin=1e-2, tries=50):
     """A random stack of ``n_nets`` and an input ``(n_nets, 4, in_dim)`` whose
     preactivations stay clear of relu kinks."""
     x = rng.uniform(-1.0, 1.0, size=(n_nets, 4, spec.in_dim))
     for attempt in range(tries):
         first = seed + attempt * n_nets
-        params = net.init_mlp(spec, range(first, first + n_nets), zero_output=False,
-                              input_scale=input_scale)
+        params = net.init_mlp(spec, range(first, first + n_nets), zero_output=False)
         if min(np.abs(z).min() for z in preactivations(params, x)) > kink_margin:
             return params, x
     raise AssertionError("could not find a kink-free probe point")
@@ -108,25 +107,6 @@ class TestMlpBackward:
                                        rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(gx, central_difference(loss_at, x), rtol=1e-5, atol=1e-6)
 
-    def test_input_scale_is_fixed_and_enters_input_gradient(self, rng):
-        spec = net.MlpSpec(3, 2, hidden=(4,))
-        scale = np.array([1.0, 0.1, 0.01])
-        params, x = random_mlp(rng, spec, seed=5, input_scale=scale)
-        cot = rng.standard_normal((1, 4, 2))
-
-        def loss_at(_):
-            out, _ = net.mlp_forward(params, x)
-            return float(np.sum(out * cot))
-
-        out, cache = net.mlp_forward(params, x)
-        plain = net.MlpParams(spec, params.weights, params.biases)
-        np.testing.assert_allclose(out, net.mlp_forward(plain, x * scale)[0],
-                                   rtol=1e-12)
-        grads, gx = net.mlp_backward(params, cache, cot, True)
-        assert len(grads) == len(params.parameters()) == 4
-        np.testing.assert_allclose(gx, central_difference(loss_at, x),
-                                   rtol=1e-6, atol=1e-8)
-
     def test_backward_leaves_input_and_output_intact(self, rng):
         # the pass spends the hidden layers of the cache, nothing else
         params = net.init_mlp(net.MlpSpec(3, 2, hidden=(4, 5)), [6], zero_output=False)
@@ -142,11 +122,9 @@ class TestMlpBackward:
         with pytest.raises(ValueError):
             net.mlp_backward(params, cache, np.zeros((1, 2, 5)), True)
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_skipped_input_gradient_leaves_parameter_gradients_bitwise(self, rng, scaled):
+    def test_skipped_input_gradient_leaves_parameter_gradients_bitwise(self, rng):
         spec = net.MlpSpec(4, 2, hidden=(6, 5))
-        scale = np.array([1.0, 0.5, 0.1, 3.0]) if scaled else None
-        stacked = net.init_mlp(spec, [30, 31, 32], zero_output=False, input_scale=scale)
+        stacked = net.init_mlp(spec, [30, 31, 32], zero_output=False)
         x = rng.standard_normal((3, 7, 4))
         cot = rng.standard_normal((3, 7, 2))
         grads, gx = net.mlp_backward(stacked, net.mlp_forward(stacked, x)[1], cot, True)
@@ -183,14 +161,14 @@ class TestMlpBackward:
             net.mlp_backward(params, cache, np.zeros((1, 5, 2)), False, out=out)
 
 
-def assert_stack_matches_separate_nets(spec, seeds, x, cot, input_scale=None):
+def assert_stack_matches_separate_nets(spec, seeds, x, cot):
     """Forward and backward of a stack over ``seeds`` equal, bit for bit,
     those of each seed's stack of one on its own date."""
-    stacked = net.init_mlp(spec, seeds, zero_output=False, input_scale=input_scale)
+    stacked = net.init_mlp(spec, seeds, zero_output=False)
     out, cache = net.mlp_forward(stacked, x)
     grads, gx = net.mlp_backward(stacked, cache, cot, True)
     for n, seed in enumerate(seeds):
-        alone = net.init_mlp(spec, [seed], zero_output=False, input_scale=input_scale)
+        alone = net.init_mlp(spec, [seed], zero_output=False)
         out_n, cache_n = net.mlp_forward(alone, x[n:n + 1])
         grads_n, gx_n = net.mlp_backward(alone, cache_n, cot[n:n + 1], True)
         assert np.array_equal(out[n:n + 1], out_n)
@@ -200,13 +178,11 @@ def assert_stack_matches_separate_nets(spec, seeds, x, cot, input_scale=None):
 
 
 class TestStackedMlp:
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_stack_is_bit_equal_to_separate_nets(self, rng, scaled):
+    def test_stack_is_bit_equal_to_separate_nets(self, rng):
         spec = net.MlpSpec(5, 2, hidden=(8, 6))
-        scale = np.array([1.0, 0.5, 0.1, 0.01, 2.0]) if scaled else None
         assert_stack_matches_separate_nets(
             spec, range(10, 14), rng.standard_normal((4, 7, 5)),
-            rng.standard_normal((4, 7, 2)), scale)
+            rng.standard_normal((4, 7, 2)))
 
     def test_relu_masks_in_chunks_of_dates(self, rng):
         # one block, two dates per sub-block, the last sub-block holding one
@@ -278,15 +254,13 @@ class TestDateBlocks:
 
     @given(n_dates=st.integers(1, 7), extra_rows=st.integers(0, 3),
            widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
-           scaled=st.booleans(), need_input_grad=st.booleans(),
+           need_input_grad=st.booleans(),
            seed=st.integers(0, 2 ** 16))
     def test_split_stack_is_bit_equal_to_one_block(self, n_dates, extra_rows, widths,
-                                                   scaled, need_input_grad, seed):
+                                                   need_input_grad, seed):
         rng = np.random.default_rng(seed)
         spec = net.MlpSpec(widths[0], widths[-1], hidden=tuple(widths[1:-1]))
-        scale = rng.uniform(0.1, 2.0, spec.in_dim) if scaled else None
-        stacked = net.init_mlp(spec, range(seed, seed + n_dates), zero_output=False,
-                               input_scale=scale)
+        stacked = net.init_mlp(spec, range(seed, seed + n_dates), zero_output=False)
         rows = 3 * net.PARALLEL_MIN_ROWS // n_dates + 1 + extra_rows   # three blocks' worth
         # the solver's features are a strided view, date-major over path-major data
         x = np.moveaxis(rng.standard_normal((rows, n_dates + 1, spec.in_dim))[:, :n_dates],
@@ -326,8 +300,7 @@ class TestDateBlocks:
 
     def test_split_peak_memory_matches_one_block(self, rng):
         spec = net.MlpSpec(8, 2)
-        stacked = net.init_mlp(spec, range(6), zero_output=False,
-                               input_scale=np.full(8, 0.5))
+        stacked = net.init_mlp(spec, range(6), zero_output=False)
         rows = net.PARALLEL_MIN_ROWS // 3 + 1   # two blocks of three dates
         x = rng.standard_normal((6, rows, 8))
         cot = rng.standard_normal((6, rows, 2))
@@ -351,15 +324,13 @@ class TestSubBlocks:
 
     @given(n_dates=st.integers(1, 7), extra_rows=st.integers(0, 3),
            widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
-           scaled=st.booleans(), need_input_grad=st.booleans(),
+           need_input_grad=st.booleans(),
            seed=st.integers(0, 2 ** 16))
-    def test_sub_block_bound_changes_no_bit(self, n_dates, extra_rows, widths, scaled,
+    def test_sub_block_bound_changes_no_bit(self, n_dates, extra_rows, widths,
                                             need_input_grad, seed):
         rng = np.random.default_rng(seed)
         spec = net.MlpSpec(widths[0], widths[-1], hidden=tuple(widths[1:-1]))
-        scale = rng.uniform(0.1, 2.0, spec.in_dim) if scaled else None
-        stacked = net.init_mlp(spec, range(seed, seed + n_dates), zero_output=False,
-                               input_scale=scale)
+        stacked = net.init_mlp(spec, range(seed, seed + n_dates), zero_output=False)
         rows = 3 * net.PARALLEL_MIN_ROWS // n_dates + 1 + extra_rows   # three blocks' worth
         x = np.moveaxis(rng.standard_normal((rows, n_dates + 1, spec.in_dim))[:, :n_dates],
                         0, 1)
@@ -382,8 +353,7 @@ class TestSubBlocks:
     def test_peak_memory_is_below_one_layer_of_the_stack(self, rng, threads):
         # amerasian's stack: 20 dates of 1000 paths, two hidden layers of 64
         spec = net.MlpSpec(3, 1, hidden=(64, 64))
-        stacked = net.init_mlp(spec, range(20), zero_output=False,
-                               input_scale=np.full(3, 0.5))
+        stacked = net.init_mlp(spec, range(20), zero_output=False)
         x = rng.standard_normal((20, 1000, 3))
         cot = rng.standard_normal((20, 1000, 1))
         stack_run(stacked, x, cot, True, threads)   # warm up the pool's imports
@@ -447,72 +417,39 @@ class TestAdam:
 
 class TestEmbedding:
     def test_identity_map_preserves_stream(self, rng):
-        params = net.EmbeddingParams(np.eye(3))
         stream = rng.standard_normal((2, 5, 3))
-        np.testing.assert_array_equal(net.embed_stream(params, stream), stream)
+        np.testing.assert_array_equal(net.embed_stream(np.eye(3), stream), stream)
 
-    def test_input_scale_multiplies_stream_before_affine_map(self, rng):
-        scale = np.array([0.5, 0.01])
-        params = net.EmbeddingParams(rng.standard_normal((2, 3)), scale)
-        stream = rng.standard_normal((4, 5, 2))
-        np.testing.assert_allclose(net.embed_stream(params, stream),
-                                   (stream * scale) @ params.weight, rtol=1e-12)
-
-    def test_gradient_with_input_scale_matches_central_differences(self, rng):
-        # embed -> time-augment -> signature, with a non-unit input scale
-        depth = 2
-        params = net.init_embedding(3, 2, 8, input_scale=np.array([0.5, 0.01, 3.0]))
-        stream = rng.uniform(-1.0, 1.0, size=(5, 3))
-        times = np.linspace(0.0, 1.0, 5)
-        cot = rng.standard_normal(engine.sig_width(3, depth))
-
-        def objective(_):
-            embedded = net.embed_stream(params, stream)
-            nodes = np.concatenate([times[:, None], embedded], axis=1)
-            return float(cot @ engine.flatten_levels(signature(nodes, depth)))
-
-        embedded = net.embed_stream(params, stream)
-        nodes = np.concatenate([times[:, None], embedded], axis=1)
-        node_grads = engine.increments_to_nodes_grad(whole_path_vjp(
-            np.diff(nodes, axis=0), engine.split_flat(cot, 3, depth)))
-        grad = net.embed_backward(params, stream, node_grads[:, 1:])
-        np.testing.assert_allclose(grad, central_difference(objective, params.weight),
-                                   rtol=1e-5, atol=1e-6)
-
-    @pytest.mark.parametrize("scale", [None, np.array([0.5, 0.01, 3.0])])
-    def test_gradient_is_the_stream_product(self, rng, scale):
-        params = net.init_embedding(3, 2, 5, input_scale=scale)
+    def test_gradient_is_the_stream_product(self, rng):
         stream = rng.standard_normal((7, 11, 3))
         cot = rng.standard_normal((7, 11, 2))
         expect = stream.reshape(-1, 3).T @ cot.reshape(-1, 2)
-        if scale is not None:
-            expect *= scale[:, None]
-        np.testing.assert_allclose(net.embed_backward(params, stream, cot), expect,
+        np.testing.assert_allclose(net.embed_backward(stream, cot), expect,
                                    rtol=1e-14, atol=0)
 
     def test_channel_mismatch_rejected(self, rng):
-        params = net.init_embedding(4, 2, 0)
+        weight = net.init_embedding(4, 2, 0)
         with pytest.raises(ValueError):
-            net.embed_stream(params, rng.standard_normal((3, 5)))
+            net.embed_stream(weight, rng.standard_normal((3, 5)))
 
     def test_end_to_end_gradient_through_signature(self, rng):
         # embed -> time-augment -> signature, gradient checked by differences
         depth = 2
-        params = net.init_embedding(3, 2, 7)
+        weight = net.init_embedding(3, 2, 7)
         stream = rng.uniform(-1.0, 1.0, size=(5, 3))
         times = np.linspace(0.0, 1.0, 5)
         cot = rng.standard_normal(engine.sig_width(3, depth))
 
         def objective(_):
-            embedded = net.embed_stream(params, stream)
+            embedded = net.embed_stream(weight, stream)
             nodes = np.concatenate([times[:, None], embedded], axis=1)
             return float(cot @ engine.flatten_levels(signature(nodes, depth)))
 
-        embedded = net.embed_stream(params, stream)
+        embedded = net.embed_stream(weight, stream)
         nodes = np.concatenate([times[:, None], embedded], axis=1)
         node_grads = engine.increments_to_nodes_grad(whole_path_vjp(
             np.diff(nodes, axis=0), engine.split_flat(cot, 3, depth)))
-        grad = net.embed_backward(params, stream, node_grads[:, 1:])
+        grad = net.embed_backward(stream, node_grads[:, 1:])
 
-        numeric_w = central_difference(lambda _: objective(None), params.weight)
+        numeric_w = central_difference(lambda _: objective(None), weight)
         np.testing.assert_allclose(grad, numeric_w, rtol=1e-5, atol=1e-6)

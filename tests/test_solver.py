@@ -110,7 +110,8 @@ class TestFeatures:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 8, 5)
         plain, _ = solver.features_for_batch(state, batch, spec)
-        state.embedding = net.EmbeddingParams(np.eye(1))
+        # the weight that undoes the |x0| conditioning is the identity map
+        state.embedding = np.diag(solver.feature_scale(spec.model))
         embedded, cache = solver.features_for_batch(state, batch, spec)
         assert cache is not None
         # block-combined and sequential scans associate differently
@@ -140,16 +141,17 @@ class TestFeatures:
     ])
     def test_approximator_input_is_rescaled_path_feature(self, make_spec,
                                                          feature, depth):
-        # features stay raw; the first layer sees the path with its state
-        # channels divided by feature_scale
+        # features stay raw; the nets a training step runs see the path
+        # with its state channels divided by feature_scale
         spec = make_spec(feature=feature, depth=depth, batch_size=4)
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 4, 5)
-        features, _ = solver.features_for_batch(state, batch, spec)
+        with mock.patch.object(net, "mlp_forward", wraps=net.mlp_forward) as forward:
+            solver.train_step(state, spec, 5, update=False)
+        first_layer_input = forward.call_args.args[1]
         grid = spec.grid
         times = np.arange(grid.n_fine + 1) * grid.h
         rescaled = batch.states / solver.feature_scale(spec.model)
-        first_layer_input = features * state.nets.input_scale
         for n in (1, 4, 9):
             end = n * grid.fine_per_segment + 1
             for j in (0, 3):
@@ -188,7 +190,7 @@ class TestFeatures:
 
         _, cache = solver.features_for_batch(state, batch, spec)
         grad = solver.features_backward(state, spec, cache, cot)
-        numeric_w = central_difference(objective, state.embedding.weight)
+        numeric_w = central_difference(objective, state.embedding)
         np.testing.assert_allclose(grad, numeric_w, rtol=1e-5, atol=1e-6)
 
     def test_log_features_width(self):
@@ -214,7 +216,7 @@ def budgeted_pipeline(state, spec, batch, cot, budget):
         if cache is None:
             return [features]
         grad = solver.features_backward(state, spec, cache, cot)
-    return [features, grad, pullback.call_args.args[2]]
+    return [features, grad, pullback.call_args.args[1]]
 
 
 class TestFeatureChunks:
@@ -459,6 +461,7 @@ class TestBackwardIteration:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 11)
         features, _ = solver.features_for_batch(state, batch, spec)
+        features *= state.input_scale
         ys, _, _, _ = solver.rollout(state, spec, batch, features,
                                      batch.coarse_increments)
         _, _, estimate = solver.train_step(state, spec, 11, update=False)
@@ -473,6 +476,7 @@ class TestReflectedIteration:
             solver.train_step(state, spec, 100 + it)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 999)
         features, _ = solver.features_for_batch(state, batch, spec)
+        features *= state.input_scale
         ys, _, _, _ = solver.rollout(state, spec, batch, features,
                                      batch.coarse_increments)
         _, exercise = spec.payoff.values(batch)
@@ -518,7 +522,7 @@ class TestTrain:
 
         def all_views():
             owned = list(state.nets.parameters())
-            owned += [state.y0, state.embedding.weight]
+            owned += [state.y0, state.embedding]
             return all(np.shares_memory(a, state.params) for a in owned)
 
         assert all_views()
