@@ -26,15 +26,18 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
-def _cmd_run(args) -> int:
+def _load_config(args) -> harness.HarnessConfig:
+    """The config of ``--config``, then ``--set``, then the named options."""
     overrides = _parse_overrides(args.set)
-    for key in ("experiment", "profile", "out"):
-        value = getattr(args, key)
+    for key in ("experiment", "profile", "seed", "out"):
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = harness.load_config(args.config, overrides)
+    return harness.load_config(args.config, overrides)
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_config(args)
     table = harness.run_experiment(cfg)
     summary = table.summary
     print(f"{summary['experiment']} ({summary['method']}, {summary['profile']}): "
@@ -49,10 +52,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    overrides = _parse_overrides(args.set)
-    if args.experiment is not None:
-        overrides["experiment"] = args.experiment
-    cfg = harness.load_config(None, overrides)
+    cfg = _load_config(args)
     refs = harness.reference_values(cfg)
     print(f"{cfg.document['experiment']}: reference = {refs['reference']:.6f} "
           f"({refs['kind']})")
@@ -121,6 +121,16 @@ def _selftest_checks():
         segment = logsig(rng.standard_normal((2, 3)), 3)
         return (np.allclose(corner, [1.0, 1.0, 0.5], rtol=1e-12)
                 and np.allclose(segment[3:], 0.0, rtol=0, atol=1e-14))
+
+    def outer_kernels():
+        # the word-column kernel and einsum on a 4-word and a 36-word product
+        for d in (2, 6):
+            a, b = rng.standard_normal((2, 7, 5, d))
+            expect = np.einsum("...i,...j->...ij", a, b).reshape(7, 5, d * d).tobytes()
+            if not (engine._outer_columns(a, b).tobytes() == expect
+                    == engine._outer(a, b).tobytes()):
+                return False
+        return True
 
     def adam_zero_grad():
         param = np.array([1.0, -2.0])
@@ -215,6 +225,7 @@ def _selftest_checks():
         ("exp/log inversion", exp_log_roundtrip),
         ("pullback finite differences", pullback_fd),
         ("lyndon coordinates of a corner and a segment", lyndon_coordinates),
+        ("outer product kernels bit for bit", outer_kernels),
         ("adam zero-gradient fixpoint", adam_zero_grad),
         ("per-path stream reproducibility", simulation_reproducible),
         ("exact geometric step", exact_geometric_step),
@@ -247,19 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signature-feature solvers for path-dependent FBSDEs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="train one experiment and emit results")
-    run.add_argument("--experiment", choices=harness.EXPERIMENTS)
-    run.add_argument("--profile", choices=harness.PROFILES)
-    run.add_argument("--config", help="JSON config document")
-    run.add_argument("--seed", type=int)
+    def config_parser(name, summary):
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("--experiment", choices=harness.EXPERIMENTS)
+        cmd.add_argument("--profile", choices=harness.PROFILES)
+        cmd.add_argument("--config", help="JSON config document")
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
+                         help="override any config key (repeatable)")
+        return cmd
+
+    run = config_parser("run", "train one experiment and emit results")
     run.add_argument("--out", help="output directory for CSV/JSON results")
-    run.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override any config key (repeatable)")
     run.set_defaults(func=_cmd_run)
 
-    orc = sub.add_parser("oracle", help="print reference values")
-    orc.add_argument("--experiment", choices=harness.EXPERIMENTS)
-    orc.add_argument("--set", action="append", metavar="KEY=VALUE")
+    orc = config_parser("oracle", "print reference values")
     orc.set_defaults(func=_cmd_oracle)
 
     st = sub.add_parser("selftest", help="run the quick property checks")

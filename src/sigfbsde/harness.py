@@ -379,6 +379,10 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     summary.update(refs)
     if refs["reference"] is not None and refs["reference"] != 0.0:
         summary["rel_error"] = (agg.mean - refs["reference"]) / refs["reference"]
+    # the resolved config, which load_config maps back to this spec, and
+    # the seed each run trained with
+    summary["config"] = config_document(cfg)
+    summary["run_seeds"] = run_seeds
     # what the numbers depend on beyond the config; cores is the most
     # threads a batch of long streams is drawn on, and the BLAS thread
     # settings (None where unset) can move the last bits of training

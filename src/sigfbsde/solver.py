@@ -361,7 +361,7 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     grid, size = batch.grid, batch.batch_size
     d_hat, width = spec.stream_channels, spec.feature_width
     n_scan = (grid.n_coarse - 1) * grid.fine_per_segment
-    times = np.arange(n_scan + 1) * grid.h
+    time_inc = np.diff(np.arange(n_scan + 1) * grid.h)
     features = np.empty((grid.n_coarse, size, width))
     chunks = []
     if state.embedding is not None:
@@ -372,13 +372,13 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
         values = batch.states[rows, :n_scan + 1]
         if state.embedding is not None:
             values = net.embed_stream(weight, values)
-        nodes = np.concatenate(
-            [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values],
-            axis=-1)
-        increments = np.diff(nodes, axis=-2)
-        if increments.shape[-1] != d_hat:
+        if values.shape[-1] + 1 != d_hat:
             raise SpecError(
-                f"stream has {increments.shape[-1]} channels, expected {d_hat}")
+                f"stream has {values.shape[-1] + 1} channels, expected {d_hat}")
+        # the time-augmented stream's increments: time in channel 0
+        increments = np.empty((stop - start, n_scan, d_hat))
+        increments[..., 0] = time_inc
+        np.subtract(values[:, 1:], values[:, :-1], out=increments[..., 1:])
 
         stacked = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
         if state.embedding is not None:

@@ -239,6 +239,15 @@ class TestRunExperiment:
             "python": platform.python_version(), "sigfbsde": sigfbsde.__version__,
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
+    def test_report_records_the_config_and_run_seeds(self, tmp_path):
+        out = tmp_path / "config"
+        cfg = harness.load_config(overrides=tiny_quadratic_overrides(out=str(out)))
+        harness.run_experiment(cfg)
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"] == harness.config_document(cfg)
+        assert harness.load_config(overrides=report["config"]).spec == cfg.spec
+        assert report["run_seeds"] == [solver.derive_seed(5, 6, r) for r in range(2)]
+
     def test_worker_processes_match_one_process_on_threaded_draws(self, monkeypatch):
         # streams above the thread cut; the one-process run leaves the
         # parent having drawn on threads before the pool forks its workers
@@ -498,6 +507,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "6.666" in out
         assert "continuous_reference" in out
+
+    def test_oracle_takes_the_config_options_of_run(self, tmp_path, capsys):
+        path = tmp_path / "desk.json"
+        path.write_text('{"profile": "desk", "seed": 4}')
+        common = ["oracle", "--experiment", "amerasian", "--set", "reference_paths=2000"]
+        printed = []
+        for extra in (["--profile", "desk", "--seed", "4"],
+                      ["--set", "profile=desk", "--set", "seed=4"],
+                      ["--config", str(path)],
+                      ["--seed", "4"]):
+            assert cli.main(common + extra) == 0
+            printed.append(capsys.readouterr().out)
+        desk, *same, paper = printed
+        assert same == [desk, desk]
+        assert paper != desk
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,6 +261,23 @@ class TestValidation:
         assert copied[1][0] == levels[1][0] + 1.0
 
 
+class TestOuterKernels:
+    """Both outer product kernels give einsum's bits, on each side of the cut."""
+
+    @pytest.mark.parametrize("na, nb", [(n, n) for n in range(1, 7)] + [(4, 2), (2, 4)])
+    def test_kernels_match_einsum_bytewise(self, rng, na, nb):
+        b = rng.standard_normal((3, 5, nb))
+        contiguous = rng.standard_normal((3, 5, na))
+        strided = rng.standard_normal((3, 10, na + 1))[:, ::2, 1:]
+        for a in (contiguous, strided):
+            want = _outer(a, b).tobytes()
+            assert engine._outer_columns(a, b).tobytes() == want
+            with mock.patch.object(engine, "_outer_columns",
+                                   wraps=engine._outer_columns) as columns:
+                assert engine._outer(a, b).tobytes() == want
+            assert columns.called == (na * nb <= engine._COLUMN_WORDS)
+
+
 _shapes = st.tuples(
     st.integers(1, 4),                                  # channels
     st.integers(1, 3),                                  # depth
@@ -382,6 +400,14 @@ class TestBlockKernels:
         if depth <= 3:
             cot = [np.ones(p.shape) for p in prefixes]
             assert engine.checkpoint_scan_vjp(inc, 4, cot).shape == inc.shape
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_slot_zero_is_positive_zero_in_every_level(self, rng, depth):
+        prefixes = engine.checkpoint_scan(rng.standard_normal((3, 8, 2)), 4, depth)
+        for lvl in prefixes:
+            assert lvl.shape[-2] == 3
+            assert np.all(lvl[..., 0, :] == 0.0)
+            assert not np.any(np.signbit(lvl[..., 0, :]))
 
     def test_reverse_pass_rejects_depth_beyond_three(self, rng):
         inc = rng.standard_normal((6, 2))

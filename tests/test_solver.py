@@ -95,7 +95,50 @@ class TestSpecValidation:
             lookback_spec(method="sideways")
 
 
+def node_features(state, batch, spec):
+    """Features and increments of the time-augmented node formulation: the
+    time column concatenated to the (embedded) states, then ``np.diff``."""
+    grid = spec.grid
+    n_scan = (grid.n_coarse - 1) * grid.fine_per_segment
+    times = np.arange(n_scan + 1) * grid.h
+    values = batch.states[:, :n_scan + 1]
+    if state.embedding is not None:
+        weight = (1.0 / solver.feature_scale(spec.model))[:, None] * state.embedding
+        values = net.embed_stream(weight, values)
+    nodes = np.concatenate(
+        [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values], axis=-1)
+    increments = np.diff(nodes, axis=-2)
+    levels = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
+    if spec.feature == "signature":
+        flat = engine.flatten_levels(levels)
+    else:
+        flat = lyndon.project(engine.log_of_group(levels), spec.stream_channels, spec.depth)
+    return np.moveaxis(flat, 0, 1), increments
+
+
 class TestFeatures:
+    @pytest.mark.parametrize("spec", [
+        pytest.param(lookback_spec(batch_size=40), id="lookback"),
+        pytest.param(solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.5, dim=30),
+            grid=sde.GridSpec(1.0, 40, 5), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2,
+            feature="log-signature", embed_dim=5, batch_size=40, seed=2), id="embedded-d30"),
+    ])
+    def test_increments_match_the_node_formulation_bytewise(self, spec, monkeypatch):
+        # several chunks, each against its rows of the whole-batch reference
+        monkeypatch.setattr(solver, "FEATURE_CHUNK_VALUES",
+                            15 * solver._values_per_path(spec, spec.grid))
+        state = solver.init_state(spec)
+        batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 5)
+        features, cache = solver.features_for_batch(state, batch, spec)
+        want, increments = node_features(state, batch, spec)
+        assert features.tobytes() == want.tobytes()
+        if spec.embed_dim is not None:
+            assert len(cache.chunks) == 3
+            for rows, cached, _ in cache.chunks:
+                assert cached.tobytes() == increments[rows].tobytes()
+
     def test_first_feature_is_zero_for_every_path(self):
         spec = lookback_spec()
         state = solver.init_state(spec)
