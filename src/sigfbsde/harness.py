@@ -272,6 +272,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             problems.append(f"{key}={resolved[key]} must be finite")
     if math.isfinite(resolved["lr"]) and resolved["lr"] <= 0:
         problems.append(f"lr={resolved['lr']} must be positive")
+    # their loss is the batch variance, identically zero for one path
+    if resolved["method"] in ("backward", "reflected") and resolved["batch"] == 1:
+        problems.append(f"batch={resolved['batch']} must be at least 2 for the "
+                        f"backward and reflected methods")
     if not problems and resolved["n_fine"] % resolved["n_coarse"] != 0:
         problems.append(
             f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")
@@ -334,11 +338,19 @@ def _run_one(args) -> solver.RunReport:
 def run_experiment(cfg: HarnessConfig) -> ResultsTable:
     """Execute all runs, aggregate, attach the oracle reference, emit files.
 
-    A run that aborts on a non-finite loss still writes the curves of the
-    runs before it and its own partial curve to ``out`` before the
+    ``out`` is created before the first run; a path that cannot be a
+    directory raises :class:`ConfigError` before any training.  A run that
+    aborts on a non-finite loss still writes the curves of the runs before
+    it and its own partial curve to ``out`` before the
     :class:`solver.SolverAbort` propagates.
     """
     doc, spec = cfg.document, cfg.spec
+    if doc["out"]:
+        try:
+            os.makedirs(doc["out"], exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out={doc['out']} cannot be created as a directory: "
+                              f"{exc}") from None
     run_seeds = [solver.derive_seed(spec.seed, 6, r) for r in range(spec.runs)]
     jobs = [(spec, s) for s in run_seeds]
     workers = min(doc["workers"], spec.runs, sde.thread_count())
@@ -353,7 +365,6 @@ def run_experiment(cfg: HarnessConfig) -> ResultsTable:
             reports.extend(map(_run_one, jobs))
     except solver.SolverAbort as exc:
         if doc["out"]:
-            os.makedirs(doc["out"], exist_ok=True)
             for r, report in enumerate(reports):
                 _write_curve(doc["out"], r, report)
             if exc.report is not None:

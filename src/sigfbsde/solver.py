@@ -188,14 +188,13 @@ class TrainState:
     ``n``.  Every trainable array is a view of the one flat buffer ``params``,
     in :func:`trainables` order, and ``adam`` is the one Adam state over it.
     ``grad`` has the same structure over a buffer of its own, into which
-    each training step writes its gradients.  Without an embedding,
-    ``input_scale`` holds the fixed :func:`feature_input_scale`.
+    each training step writes its gradients.  The nets read the features
+    of the conditioned path (:func:`features_for_batch`) as they are.
     """
 
     nets: net.MlpParams
     y0: np.ndarray | None = None
     embedding: np.ndarray | None = None
-    input_scale: np.ndarray | None = None
     params: np.ndarray | None = None
     grad: TrainState | None = None
     adam: net.AdamState | None = None
@@ -273,8 +272,6 @@ def init_state(spec: ExperimentSpec) -> TrainState:
     if spec.embed_dim is not None:
         state.embedding = net.init_embedding(spec.model.dim, spec.embed_dim,
                                              derive_seed(spec.seed, 3))
-    else:
-        state.input_scale = feature_input_scale(spec)
     _pack(state)
     state.grad = _pack(copy.deepcopy(state))
     state.grad.params[:] = 0.0
@@ -299,34 +296,14 @@ class FeatureCache:
 def feature_scale(model: sde.ModelSpec) -> np.ndarray:
     """Per-channel state magnitude ``|x0|`` (1 where ``x0`` is zero).
 
-    The approximators see the path as if its state channels were divided by
-    this scale, which keeps level-``k`` inputs from growing like
-    ``|x0|**k`` and swamping them.  The path is not divided: the solver
-    scales the features (:func:`feature_input_scale`) or the embedding.
+    :func:`features_for_batch` divides the state channels of the stream by
+    this scale where it builds the stream, which keeps level-``k`` inputs
+    from growing like ``|x0|**k`` and swamping them: a plain stream's
+    increments are divided, an embedded stream's weight rows are.
     """
     scale = np.abs(np.asarray(model.x0, dtype=float))
     scale[scale == 0.0] = 1.0
     return scale
-
-
-def feature_input_scale(spec: ExperimentSpec) -> np.ndarray:
-    """Per-feature multiplier that turns raw features into rescaled-path ones.
-
-    Dividing state channel ``i`` by ``feature_scale[i]`` is a dilation of
-    the stream, which multiplies the coefficient of word ``w`` by the
-    product over its letters of ``1 / feature_scale`` (the time letter
-    counts as 1).  This holds for tensor words in :func:`engine.flatten_levels`
-    order and for Lyndon coordinates, which :func:`lyndon.project` gathers
-    from those words.  Shape ``(spec.feature_width,)``.
-    """
-    letters = np.concatenate([[1.0], 1.0 / feature_scale(spec.model)])
-    if spec.feature == "log-signature":
-        words = lyndon.lyndon_words(spec.stream_channels, spec.depth)
-        return np.array([np.prod(letters[np.array(w) - 1]) for w in words])
-    levels = [letters]
-    for _ in range(spec.depth - 1):
-        levels.append(np.multiply.outer(levels[-1], letters).ravel())
-    return engine.flatten_levels(levels)
 
 
 def _values_per_path(spec: ExperimentSpec, grid: sde.GridSpec) -> int:
@@ -342,12 +319,13 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
                        spec: ExperimentSpec):
     """Per-date feature vectors for every path, shape ``(N, B, F)``.
 
-    Feature ``n`` is the raw (log-)signature of the time-augmented (and
-    optionally embedded) path up to coarse date ``n``; feature 0 is
-    identically zero.  Row ``i`` of the embedding is divided by
-    :func:`feature_scale` ``[i]``; plain features stay raw, and
-    :func:`train_step` scales them.  Returns ``(features, cache)`` where
-    ``cache`` is ``None`` unless an embedding is being trained.
+    Feature ``n`` is the (log-)signature up to coarse date ``n`` of the
+    conditioned path: state channel ``i`` divided by :func:`feature_scale`
+    ``[i]``, then optionally embedded, then time-augmented; feature 0 is
+    identically zero.  The division is applied once, where the stream is
+    built: to a plain stream's state increments, or to the rows of the
+    embedding weight.  Returns ``(features, cache)`` where ``cache`` is
+    ``None`` unless an embedding is being trained.
 
     Paths never mix, so the per-path stages (embedding, time augmentation,
     checkpoint scan, logarithm and Lyndon projection) run over contiguous
@@ -364,8 +342,9 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
     time_inc = np.diff(np.arange(n_scan + 1) * grid.h)
     features = np.empty((grid.n_coarse, size, width))
     chunks = []
+    inv_scale = 1.0 / feature_scale(spec.model)
     if state.embedding is not None:
-        weight = (1.0 / feature_scale(spec.model))[:, None] * state.embedding
+        weight = inv_scale[:, None] * state.embedding
     paths = max(1, FEATURE_CHUNK_VALUES // _values_per_path(spec, grid))
     for start, stop in sde._blocks(size, -(-size // paths)):
         rows = slice(start, stop)
@@ -379,6 +358,8 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
         increments = np.empty((stop - start, n_scan, d_hat))
         increments[..., 0] = time_inc
         np.subtract(values[:, 1:], values[:, :-1], out=increments[..., 1:])
+        if state.embedding is None:
+            increments[..., 1:] *= inv_scale
 
         stacked = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
         if state.embedding is not None:
@@ -494,8 +475,6 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
-    if state.input_scale is not None:
-        features *= state.input_scale
     ys, payoff, (zs, cache), masks = rollout(state, spec, batch, features,
                                              batch.coarse_increments)
     sign, dates = _scheme(spec)

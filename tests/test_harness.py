@@ -462,6 +462,42 @@ class TestCli:
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["file", "file/sub"], ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_exits_two_before_training(
+            self, tmp_path, capsys, below):
+        (tmp_path / "file").write_text("taken")
+        out = tmp_path / below
+        with mock.patch.object(solver, "train") as train:
+            code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
+                             "--set", "iterations=3", "--out", str(out)])
+        assert code == 2
+        assert f"out={out}" in capsys.readouterr().err
+        assert not train.called
+        assert (tmp_path / "file").read_text() == "taken"
+
+    @pytest.mark.parametrize("experiment, method", [
+        ("lookback", "backward"), ("amerasian", "reflected")])
+    def test_one_path_variance_methods_exit_two_before_simulating(
+            self, tmp_path, capsys, monkeypatch, experiment, method):
+        # the batch variance of one path is zero, so no gradient would flow
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a batch")
+
+        out = tmp_path / "never"
+        monkeypatch.setattr(sde, "simulate_batch", never)
+        code = cli.main(["run", "--experiment", experiment, "--profile", "desk",
+                         "--out", str(out), "--set", f"method={method}",
+                         "--set", "batch=1", "--set", "iterations=2"])
+        assert code == 2
+        assert (f"batch=1 must be at least 2 for the backward and reflected methods"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_one_path_forward_is_accepted(self):
+        cfg = harness.load_config(overrides={"experiment": "lookback", "profile": "desk",
+                                             "method": "forward", "batch": 1})
+        assert cfg.spec.batch_size == 1
+
     def test_numerical_abort_exit_three(self, capsys):
         code = cli.main(["run", "--experiment", "quadratic",
                          "--profile", "desk",

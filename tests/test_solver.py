@@ -97,7 +97,8 @@ class TestSpecValidation:
 
 def node_features(state, batch, spec):
     """Features and increments of the time-augmented node formulation: the
-    time column concatenated to the (embedded) states, then ``np.diff``."""
+    time column concatenated to the (embedded) states, then ``np.diff``,
+    with a plain stream's state increments divided by ``feature_scale``."""
     grid = spec.grid
     n_scan = (grid.n_coarse - 1) * grid.fine_per_segment
     times = np.arange(n_scan + 1) * grid.h
@@ -108,6 +109,8 @@ def node_features(state, batch, spec):
     nodes = np.concatenate(
         [np.broadcast_to(times[None, :, None], values.shape[:-1] + (1,)), values], axis=-1)
     increments = np.diff(nodes, axis=-2)
+    if state.embedding is None:
+        increments[..., 1:] *= 1.0 / solver.feature_scale(spec.model)
     levels = engine.checkpoint_scan(increments, grid.fine_per_segment, spec.depth)
     if spec.feature == "signature":
         flat = engine.flatten_levels(levels)
@@ -153,8 +156,8 @@ class TestFeatures:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 8, 5)
         plain, _ = solver.features_for_batch(state, batch, spec)
-        # the weight that undoes the |x0| conditioning is the identity map
-        state.embedding = np.diag(solver.feature_scale(spec.model))
+        # both streams are conditioned by |x0|, so the identity map embeds alike
+        state.embedding = np.eye(spec.model.dim)
         embedded, cache = solver.features_for_batch(state, batch, spec)
         assert cache is not None
         # block-combined and sequential scans associate differently
@@ -167,12 +170,13 @@ class TestFeatures:
         features, _ = solver.features_for_batch(state, batch, spec)
         grid = spec.grid
         times = np.arange(grid.n_fine + 1) * grid.h
+        rescaled = batch.states / solver.feature_scale(spec.model)
         for n in (1, 4, 9):
             for j in (0, 3):
                 # a long-double Chen scan, so the reference's own rounding
                 # stays well below the tolerance
                 end = n * grid.fine_per_segment + 1
-                prefix = np.stack([times[:end], batch.states[j, :end, 0]], axis=-1)
+                prefix = np.stack([times[:end], rescaled[j, :end, 0]], axis=-1)
                 scratch = engine.signature_scan(
                     np.diff(prefix.astype(np.longdouble), axis=0), spec.depth)
                 np.testing.assert_allclose(features[n, j], engine.flatten_levels(scratch),
@@ -184,8 +188,8 @@ class TestFeatures:
     ])
     def test_approximator_input_is_rescaled_path_feature(self, make_spec,
                                                          feature, depth):
-        # features stay raw; the nets a training step runs see the path
-        # with its state channels divided by feature_scale
+        # the nets a training step runs see the path with its state
+        # channels divided by feature_scale
         spec = make_spec(feature=feature, depth=depth, batch_size=4)
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, 4, 5)
@@ -207,6 +211,29 @@ class TestFeatures:
                                             prefix.shape[1], depth)
                 np.testing.assert_allclose(first_layer_input[n, j], expect,
                                            rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("x0, feature, depth, embed_dim", [
+        pytest.param(10.0, "signature", 3, None, id="signature-depth3"),
+        pytest.param(10.0, "log-signature", 2, None, id="log-signature-depth2"),
+        pytest.param((90.0, 100.0, 120.0), "signature", 2, 2, id="embedded-d3"),
+    ])
+    def test_conditioning_is_a_dilation_invariant(self, x0, feature, depth, embed_dim):
+        # a geometric path scales with its spot, so dividing by |x0| undoes
+        # any dilation of x0: same seeds, same features
+        def features(spot):
+            spec = solver.ExperimentSpec(
+                method="backward", model=sde.ModelSpec.geometric(spot, 0.05, 0.2),
+                grid=sde.GridSpec(1.0, 12, 3), driver=solver.DriverKind(0.05),
+                payoff=solver.PayoffKind("quadratic-integral"), depth=depth,
+                feature=feature, embed_dim=embed_dim, batch_size=4, seed=1)
+            state = solver.init_state(spec)
+            batch = sde.simulate_batch(spec.model, spec.grid, 4, 9)
+            return solver.features_for_batch(state, batch, spec)[0]
+
+        base = features(x0)
+        assert np.any(base[1:] != 0.0)
+        np.testing.assert_allclose(features(tuple(7.0 * np.atleast_1d(x0))), base,
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("feature, depth", [
         pytest.param("signature", 2, id="signature"),
@@ -504,7 +531,6 @@ class TestBackwardIteration:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 11)
         features, _ = solver.features_for_batch(state, batch, spec)
-        features *= state.input_scale
         ys, _, _, _ = solver.rollout(state, spec, batch, features,
                                      batch.coarse_increments)
         _, _, estimate = solver.train_step(state, spec, 11, update=False)
@@ -519,7 +545,6 @@ class TestReflectedIteration:
             solver.train_step(state, spec, 100 + it)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 999)
         features, _ = solver.features_for_batch(state, batch, spec)
-        features *= state.input_scale
         ys, _, _, _ = solver.rollout(state, spec, batch, features,
                                      batch.coarse_increments)
         _, exercise = spec.payoff.values(batch)
