@@ -95,9 +95,9 @@ def _selftest_checks():
         return all(np.allclose(a, b, rtol=1e-12, atol=1e-12) for a, b in zip(back, v))
 
     def pullback_fd():
-        # the reverse pass training uses: three checkpoints at depths 2 and 3
+        # the reverse pass training uses: three checkpoints at depths 2 to 4
         inc, eps = rng.standard_normal((12, 2)), 1e-6
-        for depth in (2, 3):
+        for depth in (2, 3, 4):
             cot = [rng.standard_normal((4, 2 ** k)) for k in range(1, depth + 1)]
             grad = engine.checkpoint_scan_vjp(inc, 4, cot)
             for idx in np.ndindex(inc.shape):

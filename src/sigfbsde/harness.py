@@ -256,8 +256,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
                                    doc.get("profile", "paper"), doc.get("method"))
     resolved.update(doc)
 
-    # high-dimensional runs get the dimension-reducing embedding by default
-    if resolved["embed_dim"] is None and resolved["d"] > 20:
+    # high-dimensional runs get the dimension-reducing embedding unless a
+    # document or override sets embed_dim, even to none
+    if "embed_dim" not in doc and resolved["d"] > 20:
         resolved["embed_dim"] = 5
 
     problems = []

@@ -9,10 +9,13 @@ broadcast over them.  The level-0 scalar is carried separately by callers
 (1 for group-like series, 0 for Lie-like ones).
 
 Everything here is pure-numpy and allocation-only; reverse-mode companions
-(`*_vjp`) return cotangents with the same layout.  Up to depth 3 the
-checkpoint scan is one pass of cumulative sums over the whole path, and its
-VJP is that pass run in reverse; the sequential Chen scan
-(:func:`signature_scan`) is the reference both are tested against.
+(`*_vjp`) return cotangents with the same layout.  At every depth the
+checkpoint scan is one pass of cumulative sums over the whole path: the
+prefix up to a step is the one before it times ``exp(x)``, so level ``k``
+gains ``T_k⊗x``, one Horner recursion in the lower levels' sums (the fused
+multiply-exponentiate of Signatory, Kidger & Lyons 2021).  Its VJP runs the
+recursion backwards; the sequential Chen scan (:func:`signature_scan`) is
+the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -113,16 +116,18 @@ def segment_exp(inc: np.ndarray, depth: int) -> Levels:
 def product(a: Levels, b: Levels, unit_a: float = 1.0, unit_b: float = 1.0) -> Levels:
     """Graded truncated product of two coefficient lists.
 
-    ``out_k = unit_b * a_k + unit_a * b_k + sum_{i=1..k-1} a_i ⊗ b_{k-i}``;
-    the resulting unit scalar ``unit_a * unit_b`` is the caller's to track.
+    ``out_k = unit_b * a_k + unit_a * b_k + sum_{i=1..k-1} a_i ⊗ b_{k-i}``,
+    with each unit term whose unit is 0 left out; the resulting unit scalar
+    ``unit_a * unit_b`` is the caller's to track.
     """
-    m = len(a)
     out = []
-    for k in range(1, m + 1):
-        acc = unit_b * a[k - 1] + unit_a * b[k - 1]
+    for k in range(1, len(a) + 1):
+        units = [unit * c[k - 1] for unit, c in ((unit_b, a), (unit_a, b)) if unit]
+        acc = sum(units[1:], units[0]) if units else None
         for i in range(1, k):
-            acc = acc + _outer(a[i - 1], b[k - i - 1])
-        out.append(acc)
+            term = _outer(a[i - 1], b[k - i - 1])
+            acc = term if acc is None else acc + term
+        out.append(np.zeros_like(a[0]) if acc is None else acc)
     return out
 
 
@@ -142,6 +147,30 @@ def signature_scan(increments: np.ndarray, depth: int) -> Levels:
     return levels
 
 
+def _horner(x: np.ndarray, depth: int, read=lambda s: None) -> list:
+    """Chains of levels ``2..depth`` over the steps ``x`` of shape ``(..., n, d)``.
+
+    Level ``k``'s chain ``C_1 = S^1 - x/k``, ``C_j = S^j - C_{j-1}⊗x/(k-j+1)``
+    runs over the inclusive cumulative sums ``S^j`` of the levels below it
+    and ends in ``T_k``.  ``read`` sees each sum when it is made, since the
+    top chain, the sums' last reader, spends them in place.
+    """
+    sums, chains = [np.cumsum(x, axis=-2)], []
+    read(sums[0])
+    for k in range(2, depth + 1):
+        chain = []
+        for j, s in enumerate(sums, 1):
+            term = x * (1 / (k - j + 1))  # a multiply: dividing takes 3x as long
+            chain.append(np.subtract(s, _outer(chain[-1], term) if j > 1 else term,
+                                     out=s if k == depth else None))
+        chains.append(chain)
+        if k < depth:
+            gain = _outer(chain[-1], x)
+            sums.append(np.cumsum(gain, axis=-2, out=gain))
+            read(gain)
+    return chains
+
+
 def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -> Levels:
     """Prefix signatures sampled every ``fine_per_segment`` fine steps.
 
@@ -149,69 +178,42 @@ def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -
     Returns levels with an extra axis: entry ``k-1`` has shape
     ``(..., N+1, d**k)``; slot ``n`` holds the signature of fine steps
     ``0..n*fine_per_segment`` (slot 0 is the identity, i.e. ``+0.0``).
-    Each level is allocated with its ``N+1`` slots when it is first
-    written, and its later slots are written in place.
+    Each level is allocated with its ``N+1`` slots when it is first written.
 
-    Depths up to 3 take all prefixes from one pass of cumulative sums over
-    the whole path, with no product chain, contract them per block of
-    ``every = fine_per_segment`` steps with one batched matmul and sum over
-    blocks.  With ``x_s`` the increment of step ``s``, ``S1``/``S2`` the
-    level-1/level-2 cumulative sums and ``mid_s = S1_s - x_s/2``, level 2
-    sums ``mid_s⊗x_s`` and level 3 sums ``a_s⊗x_s`` over the flattened rows
-    ``a_s = S2_s - mid_s⊗x_s/2 - x_s⊗x_s/12``, which expands to the exact
-    gain ``S2_{s-1}⊗x_s + S1_{s-1}⊗x_s⊗x_s/2 + x_s^{⊗3}/6``.  Deeper
-    truncations sample the sequential Chen scan at the checkpoints.
+    One pass over the whole path at every depth: the prefix ``S`` up to a
+    step is the one before it times ``exp(x)``, so the step adds ``T_k⊗x``
+    to level ``k``, with the Horner recursion (:func:`_horner`)
+    ``T_k = S^{k-1} - (S^{k-2} - (... (S^1 - x/k)⊗x/(k-1) ...)⊗x/3)⊗x/2``.
+    Levels below ``depth`` are the cumulative sums of their gains, read at
+    the block ends; the top level contracts ``T_depth`` with ``x`` per block
+    by one batched matmul and sums over blocks.
     """
     *batch, n, d = increments.shape
     every = fine_per_segment
     if every <= 0 or n % every != 0:
         raise ValueError(f"fine step count {n} is not a multiple of {every}")
+    out = []
 
-    def slots(k):  # level k with its N+1 slots, slot 0 the identity (+0.0)
-        lvl = np.empty(tuple(batch) + (n // every + 1, d ** k))
+    def slots(width):  # a level with its N+1 slots, slot 0 the identity (+0.0)
+        lvl = np.empty(tuple(batch) + (n // every + 1, width))
         lvl[..., 0, :] = 0.0
+        out.append(lvl)
         return lvl
 
     if n == 0:  # an empty path has one prefix, the identity
-        return [slots(k) for k in range(1, depth + 1)]
-    if depth > 3:
-        out = [slots(k) for k in range(1, depth + 1)]
-        levels = identity_levels(tuple(batch), d, depth)
-        for s, step in enumerate(_step_major(increments), 1):
-            levels = product(levels, segment_exp(step, depth))
-            if s % every == 0:
-                for lvl, level in zip(out, levels):
-                    lvl[..., s // every, :] = level
-        return out
-    blocks = tuple(batch) + (n // every, every)
+        return [slots(d ** k) for k in range(1, depth + 1)]
 
-    def contract(a, k):  # sum_s a_s⊗x_s per block, flattened, summed over blocks
-        per_block = np.matmul(np.swapaxes(a.reshape(blocks + a.shape[-1:]), -1, -2),
-                              increments.reshape(blocks + (d,)))
-        lvl = slots(k)
+    def read(s):  # a level below the top, at the block ends
+        slots(s.shape[-1])[..., 1:, :] = s[..., every - 1::every, :]
+
+    chains = _horner(increments, depth, read)
+    if chains:  # the top level; at depth 1 it is the sum S^1
+        blocks = tuple(batch) + (n // every, every, -1)
+        per_block = np.matmul(np.swapaxes(chains[-1][-1].reshape(blocks), -1, -2),
+                              increments.reshape(blocks))
         np.cumsum(per_block.reshape(per_block.shape[:-2] + (-1,)), axis=-2,
-                  out=lvl[..., 1:, :])
-        return lvl
-
-    cum = np.cumsum(increments, axis=-2)
-    lvl1 = slots(1)
-    lvl1[..., 1:, :] = cum[..., every - 1::every, :]
-    if depth == 1:
-        return [lvl1]
-    mid = cum
-    mid -= 0.5 * increments
-    if depth == 2:
-        return [lvl1, contract(mid, 2)]
-    step2 = _outer(mid, increments)
-    a = np.cumsum(step2, axis=-2)
-    lvl2 = slots(2)
-    lvl2[..., 1:, :] = a[..., every - 1::every, :]
-    step2 *= 0.5
-    a -= step2
-    sq = _outer(increments, increments)
-    sq /= 12.0
-    a -= sq
-    return [lvl1, lvl2, contract(a, 3)]
+                  out=slots(d ** depth)[..., 1:, :])
+    return out
 
 
 def log_of_group(s: Levels) -> Levels:
@@ -303,49 +305,45 @@ def checkpoint_scan_vjp(increments: np.ndarray, fine_per_segment: int,
     """Cotangent of :func:`checkpoint_scan` with respect to ``increments``.
 
     ``cot`` has the scan's shapes (the depth is ``len(cot)``); slot 0, the
-    identity, is inert.  The one-pass forward of :func:`checkpoint_scan` runs in
-    reverse for depths 1-3, with ``mid`` and ``a`` recomputed.  Block ``b``
-    enters every checkpoint after it, so its level cotangent ``G_k`` sums
-    ``cot[k]`` over slots ``b+1..N``.  With ``G_k`` read at each step's block
-    and ``rev`` a cumulative sum over the whole path from the last step
-    back: depth 3 gives ``g_a = x G3ᵀ`` (``G3`` as ``(d², d)``) and
-    ``g_x += a G3``, then ``rev(g_a) - g_a/2 + G2`` flows through ``mid⊗x``
-    and ``-g_a/12`` through ``x⊗x``; depth 2 gives ``g_mid = x G2ᵀ`` and
-    ``g_x += mid G2``; every depth ends with ``g_x += rev(g_mid) - g_mid/2 + G1``.
+    identity, is inert.  The scan's recursion runs backwards, top level
+    first, on recomputed chains.  Block ``b`` enters every checkpoint after
+    it, so the level-``k`` gains ``T_k⊗x`` of its steps get ``G_k``,
+    ``cot[k]`` summed over slots ``b+1..N``, plus the cotangents that the
+    chains above put on ``S^k``, summed from the last step back.  The top
+    level has no chain above it: one matmul per block pulls it back.  Each
+    ``C_j = S^j - C_{j-1}⊗x/q`` passes its cotangent to ``S^j``, ``C_{j-1}``
+    and ``x``.
     """
     depth, d = len(cot), increments.shape[-1]
-    if depth > 3:
-        raise ValueError(f"no closed-form checkpoint scan VJP at depth {depth} > 3")
     if increments.shape[-2] == 0:  # an empty path: nothing to pull back
         return np.zeros_like(increments)
     x = increments.reshape(increments.shape[:-2] + (-1, fine_per_segment, d))
-    g = [_revcumsum(c[..., 1:, None, :]) for c in cot]  # (..., N, 1, d**k)
+    chains = _horner(increments, depth)
+    g = [_revcumsum(c[..., 1:, None, :]) for c in cot]  # G_k, (..., N, 1, d**k)
+    # per-step cotangents of the gains below the top; level 1 gains x itself
     g_x = np.repeat(g[0], fine_per_segment, axis=-2)
-    if depth == 1:
-        return g_x.reshape(increments.shape)
-    mid = np.cumsum(increments, axis=-2).reshape(x.shape)
-    mid -= 0.5 * x
-    if depth == 2:
-        g2 = g[1].reshape(g[1].shape[:-2] + (d, d))
-        g_mid = x @ np.swapaxes(g2, -1, -2)
-        g_x += mid @ g2
-    else:
-        step2 = _outer(mid, x)
-        a = np.cumsum(step2.reshape(increments.shape[:-1] + (-1,)), axis=-2)
-        a = a.reshape(step2.shape)
-        a -= 0.5 * step2
-        a -= _outer(x, x) / 12.0
-        g3 = g[2].reshape(g[2].shape[:-2] + (d * d, d))
-        g_a = x @ np.swapaxes(g3, -1, -2)
-        g_x += a @ g3
-        per_step = x.shape + (d,)
-        g_step2 = (_revcumsum(g_a) - 0.5 * g_a + g[1]).reshape(per_step)
-        g_sq = g_a.reshape(per_step) / 12.0
-        g_mid = (g_step2 @ x[..., None])[..., 0]
-        g_x += (mid[..., None, :] @ g_step2)[..., 0, :]
-        g_x -= ((g_sq + np.swapaxes(g_sq, -1, -2)) @ x[..., None])[..., 0]
-    g_x += _revcumsum(g_mid)
-    g_x -= 0.5 * g_mid
+    g_gain = [g_x] + [np.repeat(gk, fine_per_segment, axis=-2) for gk in g[1:-1]]
+
+    def pull(a, g_ax):  # cotangents of a and x in the per-step a⊗x
+        gm = g_ax.reshape(g_ax.shape[:-1] + (-1, d))
+        return (gm @ x[..., None])[..., 0], (a.reshape(gm.shape[:-2] + (1, -1)) @ gm)[..., 0, :]
+
+    for k in range(depth, 1, -1):
+        chain = chains[k - 2]
+        if k == depth:
+            top = g[-1].reshape(g[-1].shape[:-2] + (-1, d))
+            g_c = x @ np.swapaxes(top, -1, -2)
+            g_x += chain[-1].reshape(x.shape[:-1] + (-1,)) @ top
+        else:
+            g_c, g_dx = pull(chain[-1], g_gain[k - 1])
+            g_x += g_dx
+        for j in range(k - 1, 0, -1):  # g_c is the cotangent of C_j
+            g_gain[j - 1] += _revcumsum(g_c)
+            g_dx = g_c
+            if j > 1:
+                g_c, g_dx = pull(chain[j - 2], g_c)
+                g_c *= -1 / (k - j + 1)
+            g_x -= g_dx * (1 / (k - j + 1))
     return g_x.reshape(increments.shape)
 
 

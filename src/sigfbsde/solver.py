@@ -162,9 +162,6 @@ class ExperimentSpec:
             raise SpecError(
                 f"embedding dimension {self.embed_dim} must lie in "
                 f"(0, {self.model.dim})")
-        if self.embed_dim is not None and self.depth > 3:
-            raise SpecError(f"m={self.depth} > 3 with embed_dim={self.embed_dim}: "
-                            f"no closed-form reverse pass into the embedding")
         if self.batch_size < 1 or self.iterations < 0 or self.runs < 1:
             raise SpecError("batch_size/iterations/runs out of range")
 

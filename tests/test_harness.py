@@ -248,6 +248,18 @@ class TestRunExperiment:
         assert harness.load_config(overrides=report["config"]).spec == cfg.spec
         assert report["run_seeds"] == [solver.derive_seed(5, 6, r) for r in range(2)]
 
+    @pytest.mark.parametrize("setting, embed_dim", [({"embed_dim": "none"}, None),
+                                                    ({}, 5)])
+    def test_explicit_no_embedding_holds_above_twenty_assets(self, tmp_path, setting,
+                                                             embed_dim):
+        out = tmp_path / "d30"
+        cfg = harness.load_config(overrides=tiny_quadratic_overrides(
+            d=30, runs=1, iterations=1, out=str(out), **setting))
+        assert cfg.spec.embed_dim == embed_dim
+        harness.run_experiment(cfg)
+        report = json.loads((out / "report.json").read_text())
+        assert harness.load_config(overrides=report["config"]).spec == cfg.spec
+
     def test_worker_processes_match_one_process_on_threaded_draws(self, monkeypatch):
         # streams above the thread cut; the one-process run leaves the
         # parent having drawn on threads before the pool forks its workers
@@ -373,15 +385,13 @@ class TestCli:
         assert "n_coarse=0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_embedding_beyond_depth_three_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "never"
+    def test_embedding_beyond_depth_three_runs(self, tmp_path):
+        out = tmp_path / "m4"
         code = cli.main(["run", "--experiment", "quadratic", "--profile", "desk",
                          "--out", str(out), "--set", "d=30", "--set", "m=4",
-                         "--set", "iterations=1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "m=4" in err and "embed_dim" in err
-        assert not out.exists()
+                         "--set", "iterations=1", "--set", "batch=64"])
+        assert code == 0
+        assert (out / "report.json").exists()
 
     @pytest.mark.parametrize("experiment, setting", [
         ("quadratic", "rate=0.5"), ("quadratic", "sigma=3"),

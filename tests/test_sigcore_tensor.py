@@ -24,17 +24,13 @@ def _outer(a, b):
     return np.einsum("...i,...j->...ij", a, b).reshape(a.shape[:-1] + (-1,))
 
 
-def _revcumsum(a):
-    return np.cumsum(a[..., ::-1, :], axis=-2)[..., ::-1, :]
-
-
 def product_chain_vjp(increments, every, cot):
     """Reference reverse pass of the checkpoint scan.
 
     The prefixes are the chain ``prefix_n = prefix_{n-1} ⊗ block_n``, walked
     back one block at a time with ``product_vjp``; each block's cotangent
-    then goes through the closed-form reverse of the block's own one-pass
-    signature, with sums restarted per block.
+    then goes through the one-checkpoint reverse pass of that block alone,
+    with sums restarted per block.
     """
     d, depth = increments.shape[-1], len(cot)
     blocks = increments.reshape(increments.shape[:-2] + (-1, every, d))
@@ -48,35 +44,7 @@ def product_chain_vjp(increments, every, cot):
                                           [b[..., seg - 1, :] for b in lower], adj)
         for k in range(depth):
             block_cot[k][..., seg - 1, :] = g_block[k]
-
-    x, cot = blocks, block_cot
-    g_x = np.repeat(cot[0][..., None, :], every, axis=-2)
-    if depth == 1:
-        return g_x.reshape(increments.shape)
-    mid = np.cumsum(x, axis=-2)
-    mid -= 0.5 * x
-    if depth == 2:
-        g2 = cot[1].reshape(cot[1].shape[:-1] + (d, d))
-        g_mid = x @ np.swapaxes(g2, -1, -2)
-        g_x += mid @ g2
-    else:
-        step2 = _outer(mid, x)
-        a = np.cumsum(step2, axis=-2)
-        a -= 0.5 * step2
-        a -= _outer(x, x) / 12.0
-        g3 = cot[2].reshape(cot[2].shape[:-1] + (d * d, d))
-        g_a = x @ np.swapaxes(g3, -1, -2)
-        g_x += a @ g3
-        per_step = x.shape + (d,)
-        g_step2 = (_revcumsum(g_a) - 0.5 * g_a
-                   + cot[1][..., None, :]).reshape(per_step)
-        g_sq = g_a.reshape(per_step) / 12.0
-        g_mid = (g_step2 @ x[..., None])[..., 0]
-        g_x += (mid[..., None, :] @ g_step2)[..., 0, :]
-        g_x -= ((g_sq + np.swapaxes(g_sq, -1, -2)) @ x[..., None])[..., 0]
-    g_x += _revcumsum(g_mid)
-    g_x -= 0.5 * g_mid
-    return g_x.reshape(increments.shape)
+    return whole_path_vjp(blocks, block_cot).reshape(increments.shape)
 
 
 def as_levels(*levels):
@@ -280,7 +248,7 @@ class TestOuterKernels:
 
 _shapes = st.tuples(
     st.integers(1, 4),                                  # channels
-    st.integers(1, 3),                                  # depth
+    st.integers(1, 5),                                  # depth
     st.integers(1, 8),                                  # block length
     st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),  # batch axes
     st.integers(0, 2 ** 32 - 1))                        # increment seed
@@ -375,7 +343,7 @@ class TestBlockKernels:
         np.testing.assert_allclose(got, central_difference(objective, inc),
                                    rtol=1e-6, atol=1e-6)
 
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 4),
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
            st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 2 ** 32 - 1))
     def test_checkpoint_scan_vjp_matches_product_chain(self, d, depth, n_seg, m,
                                                         batch, seed):
@@ -397,9 +365,8 @@ class TestBlockKernels:
         assert [p.shape for p in prefixes] == [batch + (1, 2 ** k)
                                                for k in range(1, depth + 1)]
         assert not any(np.any(p) for p in prefixes)
-        if depth <= 3:
-            cot = [np.ones(p.shape) for p in prefixes]
-            assert engine.checkpoint_scan_vjp(inc, 4, cot).shape == inc.shape
+        cot = [np.ones(p.shape) for p in prefixes]
+        assert engine.checkpoint_scan_vjp(inc, 4, cot).shape == inc.shape
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_slot_zero_is_positive_zero_in_every_level(self, rng, depth):
@@ -409,11 +376,16 @@ class TestBlockKernels:
             assert np.all(lvl[..., 0, :] == 0.0)
             assert not np.any(np.signbit(lvl[..., 0, :]))
 
-    def test_reverse_pass_rejects_depth_beyond_three(self, rng):
+    def test_reverse_pass_runs_beyond_depth_three(self, rng):
         inc = rng.standard_normal((6, 2))
         cot = [np.ones((3, 2 ** k)) for k in range(1, 5)]
-        with pytest.raises(ValueError, match="depth 4"):
-            engine.checkpoint_scan_vjp(inc, 3, cot)
+
+        def objective(x):
+            return sum(float(np.sum(c * lvl))
+                       for c, lvl in zip(cot, engine.checkpoint_scan(x, 3, 4)))
+
+        np.testing.assert_allclose(engine.checkpoint_scan_vjp(inc, 3, cot),
+                                   central_difference(objective, inc), rtol=1e-6, atol=1e-6)
 
 
 _series = st.tuples(

@@ -75,7 +75,7 @@ class TestSpecValidation:
                 payoff=solver.PayoffKind("quadratic-integral"),
                 depth=2, embed_dim=3)
 
-    def test_embedding_beyond_depth_three_rejected(self):
+    def test_embedding_beyond_depth_three_accepted(self):
         def spec(depth, embed_dim):
             return solver.ExperimentSpec(
                 method="backward",
@@ -85,9 +85,8 @@ class TestSpecValidation:
                 payoff=solver.PayoffKind("quadratic-integral"),
                 depth=depth, embed_dim=embed_dim)
 
-        with pytest.raises(solver.SpecError, match="m=4.*embed_dim=2"):
-            spec(4, 2)
-        assert spec(3, 2).depth == 3
+        for depth in (3, 4, 5):
+            assert spec(depth, 2).feature_width == engine.sig_width(3, depth)
         assert spec(4, None).depth == 4
 
     def test_unknown_method_rejected(self):
@@ -240,6 +239,8 @@ class TestFeatures:
         pytest.param("log-signature", 2, id="log-signature"),
         pytest.param("signature", 3, id="signature-depth3"),
         pytest.param("log-signature", 3, id="log-signature-depth3"),
+        pytest.param("signature", 4, id="signature-depth4"),
+        pytest.param("log-signature", 4, id="log-signature-depth4"),
     ])
     def test_embedding_gradient_matches_finite_differences(self, rng, feature, depth):
         spec = solver.ExperimentSpec(
