@@ -43,7 +43,6 @@ CONFIG_KEYS = {
     "sigma": (float, False),
     "strike": (float, False),
     "horizon": (float, False),
-    "y0_init": (float, True),
     "workers": (int, False),
     "reference_paths": (int, False),
 }
@@ -83,7 +82,7 @@ class Experiment:
 _SHARED = {
     "horizon": 1.0, "lr": 1e-3, "embed_dim": None, "strike": 0.0, "seed": 0,
     "runs": 1, "workers": 1, "reference_paths": 200_000, "out": None,
-    "y0_init": None, "batch": {"forward": 100, "backward": 1000, "reflected": 1000},
+    "batch": {"forward": 100, "backward": 1000, "reflected": 1000},
 }
 
 
@@ -200,6 +199,8 @@ def _coerce(key: str, value):
             raise ConfigError(f"key {key!r} cannot be none")
         return None
     try:
+        if isinstance(value, bool):   # no key takes a JSON true or false
+            raise TypeError
         if typ is int:
             coerced = int(value)
             if isinstance(value, float) and value != coerced:
@@ -273,10 +274,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             problems.append(f"{key}={resolved[key]} must be finite")
     if math.isfinite(resolved["lr"]) and resolved["lr"] <= 0:
         problems.append(f"lr={resolved['lr']} must be positive")
-    # their loss is the batch variance, identically zero for one path
-    if resolved["method"] in ("backward", "reflected") and resolved["batch"] == 1:
-        problems.append(f"batch={resolved['batch']} must be at least 2 for the "
-                        f"backward and reflected methods")
+    # every method's loss is a batch variance, identically zero for one path
+    if resolved["batch"] == 1:
+        problems.append(f"batch={resolved['batch']} must be at least 2")
     if not problems and resolved["n_fine"] % resolved["n_coarse"] != 0:
         problems.append(
             f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")
@@ -301,13 +301,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             learning_rate=resolved["lr"],
             runs=resolved["runs"],
             seed=resolved["seed"],
-            y0_init=resolved["y0_init"],
         )
     except (solver.SpecError, sde.GridError, sde.ModelError) as exc:
         raise ConfigError(str(exc)) from exc
-    # only the forward scheme trains an initial value
-    _reject_ignored(resolved, *record.ignores,
-                    *(("y0_init",) if spec.method != "forward" else ()))
+    _reject_ignored(resolved, *record.ignores)
     record.check(resolved)
     return HarnessConfig(resolved, spec)
 

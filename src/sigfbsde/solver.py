@@ -8,8 +8,8 @@ sign, the order of the coarse dates, the start value and, for
 ``reflected`` only, an exercise floor.  The per-date
 approximators are one stacked MLP, run once per step over all dates.
 
-* ``forward``  — a trainable initial value is propagated to maturity and
-  fitted by matching the terminal payoff in mean square;
+* ``forward``  — an initial value is propagated to maturity, and each batch
+  solves it to match the terminal payoff in mean square;
 * ``backward`` — the payoff is rolled backwards and the batch variance of
   the reconstructed initial values is minimised (their mean is the price);
 * ``reflected`` — the backward scheme with an early-exercise floor applied
@@ -142,7 +142,6 @@ class ExperimentSpec:
     learning_rate: float = 1e-3
     runs: int = 1
     seed: int = 0
-    y0_init: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -179,18 +178,20 @@ class ExperimentSpec:
 
 @dataclass
 class TrainState:
-    """Stacked approximators plus optional trainable scalar and embedding.
+    """Stacked approximators, optional embedding, forward initial value.
 
     ``nets`` is one :class:`net.MlpParams` stack; slice ``[n]`` serves date
-    ``n``.  Every trainable array is a view of the one flat buffer ``params``,
-    in :func:`trainables` order, and ``adam`` is the one Adam state over it.
-    ``grad`` has the same structure over a buffer of its own, into which
-    each training step writes its gradients.  The nets read the features
-    of the conditioned path (:func:`features_for_batch`) as they are.
+    ``n``.  ``y0`` is the forward scheme's last solved initial value (None
+    for the other methods).  Every trainable array is a view of the one
+    flat buffer ``params``, in :func:`trainables` order, and ``adam`` is the
+    one Adam state over it.  ``grad`` has the same structure over a buffer
+    of its own, into which each training step writes its gradients.  The
+    nets read the features of the conditioned path
+    (:func:`features_for_batch`) as they are.
     """
 
     nets: net.MlpParams
-    y0: np.ndarray | None = None
+    y0: float | None = None
     embedding: np.ndarray | None = None
     params: np.ndarray | None = None
     grad: TrainState | None = None
@@ -199,10 +200,8 @@ class TrainState:
 
 
 def trainables(state: TrainState) -> list:
-    """Trainable arrays in buffer order: the nets' layers, y0, the embedding."""
+    """Trainable arrays in buffer order: the nets' layers, the embedding."""
     out = list(state.nets.parameters())
-    if state.y0 is not None:
-        out.append(state.y0)
     if state.embedding is not None:
         out.append(state.embedding)
     return out
@@ -217,8 +216,6 @@ def _pack(state: TrainState) -> TrainState:
     views = iter([v.reshape(a.shape) for v, a in zip(chunks, arrays)])  # trainables() order
     for l in range(len(state.nets.weights)):
         state.nets.weights[l], state.nets.biases[l] = next(views), next(views)
-    if state.y0 is not None:
-        state.y0 = next(views)
     if state.embedding is not None:
         state.embedding = next(views)
     return state
@@ -240,11 +237,16 @@ class RunReport:
         return len(self.losses)
 
 
-def pilot_estimate(spec: ExperimentSpec) -> float:
-    """Plain Monte Carlo estimate of the discounted terminal payoff.
+def _growth(spec: ExperimentSpec) -> float:
+    """``G = (1 − ∂f/∂y·dt)^N``, the factor of ``y0`` in the forward ``Y_N``."""
+    return (1.0 - spec.driver.dy() * spec.grid.dt) ** spec.grid.n_coarse
 
-    Used to seed the forward method's trainable initial value close to the
-    answer; the discount matches the per-step growth of the forward scheme.
+
+def pilot_estimate(spec: ExperimentSpec) -> float:
+    """Plain Monte Carlo estimate of the payoff discounted by :func:`_growth`.
+
+    The forward method's first rollout starts from it, and a forward run
+    of zero iterations reports it.
     """
     seed = derive_seed(spec.seed, 2)
     total = 0.0
@@ -253,19 +255,17 @@ def pilot_estimate(spec: ExperimentSpec) -> float:
                                    seed, path_offset=offset)
         total += float(np.sum(spec.payoff.values(batch)[0]))
         del batch   # freed before the next batch is drawn
-    growth = (1.0 - spec.driver.dy() * spec.grid.dt) ** spec.grid.n_coarse
-    return total / PILOT_PATHS / growth
+    return total / PILOT_PATHS / _growth(spec)
 
 
 def init_state(spec: ExperimentSpec) -> TrainState:
-    """Fresh approximators, initial value and embedding, packed into one buffer."""
+    """Fresh approximators and embedding in one buffer, and the forward ``y0``."""
     # each approximator maps features to a row vector against the Brownian motion
     mlp_spec = net.MlpSpec(spec.feature_width, spec.model.dim)
     state = TrainState(nets=net.init_mlp(
         mlp_spec, [derive_seed(spec.seed, 1, n) for n in range(spec.grid.n_coarse)]))
     if spec.method == "forward":
-        y0 = spec.y0_init if spec.y0_init is not None else pilot_estimate(spec)
-        state.y0 = np.asarray(float(y0))
+        state.y0 = pilot_estimate(spec)
     if spec.embed_dim is not None:
         state.embedding = net.init_embedding(spec.model.dim, spec.embed_dim,
                                              derive_seed(spec.seed, 3))
@@ -419,7 +419,7 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
             features: np.ndarray, coarse_incs: np.ndarray):
     """Run the coarse recursion in the direction of ``spec.method``.
 
-    ``forward`` starts from the trainable initial value at date 0;
+    ``forward`` starts from the initial value ``state.y0`` at date 0;
     ``backward`` and ``reflected`` start from the terminal payoff at date
     ``N``, and ``reflected`` floors every value at the early-exercise payoff.
     Date ``n`` links the values at ``n`` and ``n+1`` through
@@ -439,7 +439,7 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
     zs, cache = net.mlp_forward(state.nets, features)
     ys = np.empty((batch.batch_size, n_seg + 1))
     if sign > 0:
-        ys[:, 0] = float(state.y0)
+        ys[:, 0] = state.y0
     else:
         ys[:, n_seg] = payoff
     masks: list = [None] * n_seg
@@ -459,16 +459,18 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
                update: bool = True):
     """One training step of ``spec.method`` on a fresh batch.
 
-    ``forward``: the loss is the mean-square mismatch between the propagated
-    value and the payoff at maturity, and the estimate is the trainable
-    initial value.  ``backward`` and ``reflected``: the loss is the batch
-    variance of the rolled-back initial values, and the estimate is their
-    mean.  With ``update``, the adjoint sweep walks the dates in reverse and
-    one Adam step is applied to the flat buffer of every trainable array:
-    the approximators, the embedding (when present) and, for ``forward``,
-    the initial value; the sweep fills every date's output cotangent, then
-    one stacked backward pass gives all net and feature gradients.  Returns
-    ``(state, loss, estimate)``, the forward estimate taken after the update.
+    ``forward``: the estimate is the batch's minimiser of the mean-square
+    mismatch between the propagated value and the payoff at maturity,
+    ``y0 + mean(g − Y_N)/G`` with ``G`` from :func:`_growth`, and the loss is
+    the mismatch there, the batch variance of ``Y_N − g``.  ``backward``
+    and ``reflected``: the loss is the batch variance of the rolled-back
+    initial values, and the estimate is their mean.  With ``update``, the
+    adjoint sweep walks the dates in reverse and one Adam step is applied
+    to the flat buffer of every trainable array (the approximators and the
+    embedding when present), and ``state.y0`` takes the forward estimate;
+    the sweep fills every date's output cotangent, then one stacked
+    backward pass gives all net and feature gradients.  Returns
+    ``(state, loss, estimate)``.
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
@@ -476,15 +478,14 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
                                              batch.coarse_increments)
     sign, dates = _scheme(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        if sign > 0:
-            resid = ys[:, -1] - payoff
-        else:
-            estimate = float(np.mean(ys[:, 0]))
-            resid = ys[:, 0] - estimate
+        values = ys[:, -1] - payoff if sign > 0 else ys[:, 0]
+        centre = float(np.mean(values))
+        resid = values - centre
         loss = float(np.mean(resid ** 2))
     if not np.isfinite(loss):
         raise SolverAbort(f"non-finite loss at iteration {state.iteration} (seed {seed})",
                           spec.method, state.iteration, seed)
+    estimate = state.y0 - centre / _growth(spec) if sign > 0 else centre
 
     if update:
         adj = 2.0 * resid / spec.batch_size
@@ -500,21 +501,20 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
         _, feature_cots = net.mlp_backward(state.nets, cache, g_z, fcache is not None,
                                            out=state.grad.nets.parameters())
         del cache, features, zs, g_z   # spent; freed before the features' reverse pass
-        if sign > 0:
-            state.grad.y0[...] = np.sum(adj)
         if fcache is not None:
             state.grad.embedding[...] = features_backward(state, spec, fcache, feature_cots)
         net.adam_step(state.adam, state.params, state.grad.params)
+        if sign > 0:
+            state.y0 = estimate
         state.iteration += 1
-    return state, loss, float(state.y0) if sign > 0 else estimate
+    return state, loss, estimate
 
 
 def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
     """Run one full training and collect the loss/estimate trajectory.
 
     The reported final estimate averages the trailing ``TAIL_FRACTION`` of
-    per-iteration estimates, which damps the per-batch fluctuation of the
-    variance-minimising methods without biasing the forward one.
+    per-iteration estimates, which damps their per-batch fluctuation.
     """
     spec = spec if run_seed is None else replace(spec, seed=int(run_seed))
     state = init_state(spec)
@@ -534,7 +534,7 @@ def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
         tail = max(1, int(round(TAIL_FRACTION * len(report.estimates))))
         report.final_estimate = float(np.mean(report.estimates[-tail:]))
     elif spec.method == "forward":
-        report.final_estimate = float(state.y0)
+        report.final_estimate = state.y0
     else:
         _, _, estimate = train_step(state, spec, derive_seed(spec.seed, 4, 0),
                                     update=False)

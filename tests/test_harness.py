@@ -44,7 +44,7 @@ class TestLoadConfig:
         ({"lr": "-inf"}, ["lr"]), ({"rate": "nan"}, ["rate"]),
         ({"sigma": "inf"}, ["sigma"]), ({"x0": "-inf"}, ["x0"]),
         ({"strike": "nan"}, ["strike"]), ({"horizon": "inf"}, ["horizon"]),
-        ({"y0_init": "nan"}, ["y0_init"]),
+        ({"horizon": "nan"}, ["horizon"]),
         ({"rate": "nan", "sigma": "inf", "lr": 0}, ["rate", "sigma", "lr"]),
     ])
     def test_bad_numbers_rejected_with_every_key_named(self, overrides, named):
@@ -56,13 +56,13 @@ class TestLoadConfig:
     @pytest.mark.parametrize("overrides, named", [
         ({"experiment": "lookback", "reference_paths": 5000}, ["reference_paths"]),
         ({"experiment": "quadratic", "reference_paths": 5000}, ["reference_paths"]),
-        ({"experiment": "lookback", "method": "backward", "y0_init": 1.0}, ["y0_init"]),
-        ({"experiment": "quadratic", "method": "backward", "y0_init": 1.0}, ["y0_init"]),
-        ({"experiment": "amerasian", "y0_init": 1.0}, ["y0_init"]),
-        ({"experiment": "lookback", "method": "backward", "y0_init": 1.0,
-          "reference_paths": 5000, "strike": 1.0}, ["y0_init", "reference_paths", "strike"]),
-        ({"experiment": "quadratic", "method": "backward", "y0_init": 1.0,
-          "reference_paths": 5000, "rate": 0.5}, ["y0_init", "reference_paths", "rate"]),
+        ({"experiment": "lookback", "method": "backward", "strike": 1.0}, ["strike"]),
+        ({"experiment": "quadratic", "method": "backward", "sigma": 1.0}, ["sigma"]),
+        ({"experiment": "quadratic", "strike": 1.0}, ["strike"]),
+        ({"experiment": "lookback", "method": "backward",
+          "reference_paths": 5000, "strike": 1.0}, ["reference_paths", "strike"]),
+        ({"experiment": "quadratic", "method": "backward", "sigma": 1.0,
+          "reference_paths": 5000, "rate": 0.5}, ["sigma", "reference_paths", "rate"]),
     ])
     def test_ignored_keys_rejected_with_every_key_named(self, overrides, named):
         with pytest.raises(harness.ConfigError) as err:
@@ -72,13 +72,20 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"experiment": "amerasian", "reference_paths": 5000},
-        {"experiment": "amerasian", "method": "forward", "y0_init": 1.0},
-        {"experiment": "lookback", "y0_init": 1.0},
+        {"experiment": "amerasian", "method": "forward"},
+        {"experiment": "lookback", "strike": 0.0},
         {"experiment": "quadratic", "method": "backward", "reference_paths": 200_000,
-         "y0_init": None},
+         "embed_dim": None},
     ])
     def test_keys_the_run_reads_accepted(self, overrides):
         harness.load_config(overrides=overrides)
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", True), ("iterations", False), ("lr", True), ("x0", False)])
+    def test_json_booleans_rejected_for_numeric_keys(self, key, value):
+        with pytest.raises(harness.ConfigError, match=repr(key)):
+            harness.load_config(overrides={"experiment": "lookback", "profile": "desk",
+                                           key: value})
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(harness.ConfigError, match="vanilla"):
@@ -405,15 +412,32 @@ class TestCli:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
-    def test_ignored_initial_value_exits_two_before_training(self, tmp_path, capsys):
-        out = tmp_path / "never"
-        code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
-                         "--out", str(out), "--set", "method=backward",
-                         "--set", "y0_init=1", "--set", "reference_paths=5000",
-                         "--set", "iterations=2", "--set", "n_fine=40"])
+    def test_initial_value_key_exits_two_before_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the forward scheme solves its initial value, so no start is configurable
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a batch")
+
+        path, out = tmp_path / "cfg.json", tmp_path / "never"
+        path.write_text(json.dumps({"experiment": "lookback", "profile": "desk",
+                                    "y0_init": 1.0, "iterations": 2}))
+        monkeypatch.setattr(sde, "simulate_batch", never)
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "y0_init=1.0" in err and "reference_paths=5000" in err
+        assert "unknown config keys: y0_init" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_in_config_file_exits_two_before_training(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a batch")
+
+        path, out = tmp_path / "cfg.json", tmp_path / "never"
+        path.write_text('{"experiment": "lookback", "profile": "desk", "iterations": true}')
+        monkeypatch.setattr(sde, "simulate_batch", never)
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "'iterations' expects int, got True" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oracle_negative_spot_exits_two(self, capsys):
@@ -486,8 +510,8 @@ class TestCli:
         assert (tmp_path / "file").read_text() == "taken"
 
     @pytest.mark.parametrize("experiment, method", [
-        ("lookback", "backward"), ("amerasian", "reflected")])
-    def test_one_path_variance_methods_exit_two_before_simulating(
+        ("lookback", "forward"), ("lookback", "backward"), ("amerasian", "reflected")])
+    def test_one_path_exits_two_before_simulating(
             self, tmp_path, capsys, monkeypatch, experiment, method):
         # the batch variance of one path is zero, so no gradient would flow
         def never(*args, **kwargs):
@@ -499,30 +523,29 @@ class TestCli:
                          "--out", str(out), "--set", f"method={method}",
                          "--set", "batch=1", "--set", "iterations=2"])
         assert code == 2
-        assert (f"batch=1 must be at least 2 for the backward and reflected methods"
-                in capsys.readouterr().err)
+        assert "batch=1 must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_one_path_forward_is_accepted(self):
+    def test_two_path_forward_is_accepted(self):
         cfg = harness.load_config(overrides={"experiment": "lookback", "profile": "desk",
-                                             "method": "forward", "batch": 1})
-        assert cfg.spec.batch_size == 1
+                                             "method": "forward", "batch": 2})
+        assert cfg.spec.batch_size == 2
 
+    # lookback payoffs near 1e200 spread too widely for their variance to be finite
     def test_numerical_abort_exit_three(self, capsys):
-        code = cli.main(["run", "--experiment", "quadratic",
+        code = cli.main(["run", "--experiment", "lookback",
                          "--profile", "desk",
-                         "--set", "d=2", "--set", "n_fine=20",
-                         "--set", "n_coarse=5", "--set", "batch=8",
-                         "--set", "iterations=3", "--set", "y0_init=1e200"])
+                         "--set", "n_fine=20", "--set", "n_coarse=5",
+                         "--set", "batch=8", "--set", "iterations=3",
+                         "--set", "x0=1e200"])
         assert code == 3
 
     def test_numerical_abort_in_worker_processes_exits_three(self, capsys):
-        code = cli.main(["run", "--experiment", "quadratic",
+        code = cli.main(["run", "--experiment", "lookback",
                          "--profile", "desk",
-                         "--set", "d=2", "--set", "n_fine=20",
-                         "--set", "n_coarse=5", "--set", "batch=8",
-                         "--set", "iterations=3", "--set", "y0_init=1e200",
-                         "--set", "runs=2", "--set", "workers=2"])
+                         "--set", "n_fine=20", "--set", "n_coarse=5",
+                         "--set", "batch=8", "--set", "iterations=3",
+                         "--set", "x0=1e200", "--set", "runs=2", "--set", "workers=2"])
         assert code == 3
         assert "non-finite loss" in capsys.readouterr().err
 
@@ -530,7 +553,7 @@ class TestCli:
         out = tmp_path / "aborted"
         code = cli.main(["run", "--experiment", "lookback", "--profile", "desk",
                          "--set", "iterations=5", "--set", "n_fine=40",
-                         "--set", "y0_init=1e200", "--set", "runs=2",
+                         "--set", "x0=1e200", "--set", "runs=2",
                          "--set", "workers=2", "--set", f"out={out}"])
         assert code == 3
         assert "non-finite loss" in capsys.readouterr().err

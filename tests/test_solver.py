@@ -346,10 +346,10 @@ class TestFeatureChunks:
                         batch_size=1000), [142] + [143] * 6),
         # 160 scanned steps of 21**2 values exceed the budget: one path per chunk
         (solver.ExperimentSpec(
-            method="forward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=20),
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=20),
             grid=sde.GridSpec(1.0, 200, 5), driver=solver.DriverKind(),
             payoff=solver.PayoffKind("quadratic-integral"), depth=3,
-            feature="log-signature", batch_size=3, y0_init=0.0), [1, 1, 1]),
+            feature="log-signature", batch_size=3), [1, 1, 1]),
     ])
     def test_desk_chunks_follow_the_working_set(self, spec, paths):
         state = solver.init_state(spec)
@@ -453,28 +453,44 @@ class TestStepMemory:
 
 
 class TestForwardIteration:
-    def test_degenerate_loss_is_squared_distance(self):
-        # one coarse step, zero approximators, constant payoff
-        spec = constant_payoff_spec(y0_init=1.0)
+    @pytest.mark.parametrize("n_coarse", [1, 2, 4])
+    @pytest.mark.parametrize("start", [0.0, 1.0, 1e3])
+    def test_zero_volatility_step_solves_the_discounted_payoff(self, n_coarse, start):
+        # zero approximators, constant payoff g = (2 * 1)^2: Y_N = G * y0
+        spec = constant_payoff_spec(n_coarse=n_coarse, n_fine=4 * n_coarse)
         state = solver.init_state(spec)
-        g = float((2.0 * 1.0) ** 2)  # constant path value 2, unit horizon
-        _, loss, _ = solver.train_step(state, spec, 7, update=False)
-        expect = (1.0 * (1.0 + 0.1 * 1.0) - g) ** 2
-        assert abs(loss - expect) < 1e-12
+        state.y0 = start
+        _, loss, estimate = solver.train_step(state, spec, 7, update=False)
+        growth = (1.0 + 0.1 / n_coarse) ** n_coarse
+        assert abs(estimate - 4.0 / growth) < 1e-12
+        assert loss <= 1e-20
 
-    def test_one_step_discounted_minimiser(self):
-        spec = constant_payoff_spec(y0_init=3.0, iterations=4000)
-        report = solver.train(spec)
-        g = 4.0
-        target = g / 1.1
-        assert abs(report.final_estimate - target) < 5e-3
+    def test_run_started_far_away_reports_the_discounted_payoff(self):
+        spec = constant_payoff_spec(iterations=3)
+        with mock.patch.object(solver, "pilot_estimate", return_value=3.0):
+            report = solver.train(spec)
+        assert all(abs(e - 4.0 / 1.1) < 1e-12 for e in report.estimates)
+        assert abs(report.final_estimate - 4.0 / 1.1) < 1e-12
 
-    def test_first_update_moves_towards_payoff(self):
-        spec = constant_payoff_spec(y0_init=1.0)
+    def test_update_moves_the_initial_value_to_the_estimate(self):
+        spec = constant_payoff_spec()
         state = solver.init_state(spec)
-        _, _, estimate = solver.train_step(state, spec, 7)
-        # gradient is negative (payoff above), Adam step is +lr
-        assert abs(estimate - (1.0 + spec.learning_rate)) < 1e-6
+        state.y0 = 1.0
+        _, _, estimate = solver.train_step(state, spec, 7, update=False)
+        assert state.y0 == 1.0 and abs(estimate - 4.0 / 1.1) < 1e-12
+        _, _, again = solver.train_step(state, spec, 7)
+        assert again == estimate and state.y0 == estimate
+
+    def test_estimates_do_not_depend_on_the_start_value(self):
+        spec = lookback_spec(iterations=8, batch_size=16)
+        runs = []
+        for start in (None, 0.0):   # the pilot, or far below the answer
+            state = solver.init_state(spec)
+            if start is not None:
+                state.y0 = start
+            runs.append([solver.train_step(state, spec, solver.derive_seed(0, 4, it))[1:]
+                         for it in range(spec.iterations)])
+        np.testing.assert_allclose(runs[0], runs[1], rtol=1e-9)
 
     def test_martingale_preservation_with_fixed_nets(self):
         # zero driver: terminal mean equals the initial value within noise
@@ -484,8 +500,9 @@ class TestForwardIteration:
             grid=sde.GridSpec(1.0, 60, 6),
             driver=solver.DriverKind(),
             payoff=solver.PayoffKind("quadratic-integral"),
-            depth=2, batch_size=512, iterations=1, seed=2, y0_init=0.4)
+            depth=2, batch_size=512, iterations=1, seed=2)
         state = solver.init_state(spec)
+        state.y0 = 0.4
         fresh = net.init_mlp(state.nets.spec, range(100, 100 + spec.grid.n_coarse),
                              zero_output=False)
         for stacked, value in zip(state.nets.parameters(), fresh.parameters()):
@@ -563,10 +580,10 @@ class TestReflectedIteration:
 
 class TestTrain:
     def test_zero_iterations_reports_initial_estimate(self):
-        spec = lookback_spec(iterations=0, y0_init=4.2)
+        spec = lookback_spec(iterations=0)
         report = solver.train(spec)
         assert report.losses == [] and report.estimates == []
-        assert report.final_estimate == 4.2
+        assert report.final_estimate == solver.pilot_estimate(spec)
 
     def test_zero_iterations_backward_evaluates_once(self):
         spec = amerasian_spec(method="backward", iterations=0)
@@ -575,7 +592,8 @@ class TestTrain:
         assert np.isfinite(report.final_estimate)
 
     def test_non_finite_loss_aborts_with_metadata(self):
-        spec = lookback_spec(y0_init=1e200, iterations=3)
+        # payoffs near 1e200 spread too widely for their variance to be finite
+        spec = lookback_spec(model=sde.ModelSpec.geometric(1e200, 0.01, 1.0), iterations=3)
         with pytest.raises(solver.SolverAbort) as err:
             solver.train(spec)
         assert err.value.method == "forward"
@@ -585,25 +603,60 @@ class TestTrain:
             method="forward", model=sde.ModelSpec.arithmetic_unit(1.0, dim=3),
             grid=sde.GridSpec(1.0, 8, 2), driver=solver.DriverKind(),
             payoff=solver.PayoffKind("quadratic-integral"), depth=2,
-            embed_dim=2, batch_size=8, iterations=1, seed=0, y0_init=0.5)
+            embed_dim=2, batch_size=8, iterations=1, seed=0)
         state = solver.init_state(spec)
-        assert sum(a.size for a in solver.trainables(state)) == state.params.size
+        owned = list(state.nets.parameters()) + [state.embedding]
+        assert [id(a) for a in solver.trainables(state)] == [id(a) for a in owned]
+        assert sum(a.size for a in owned) == state.params.size
+        assert type(state.y0) is float
 
         def all_views():
-            owned = list(state.nets.parameters())
-            owned += [state.y0, state.embedding]
+            owned = list(state.nets.parameters()) + [state.embedding]
             return all(np.shares_memory(a, state.params) for a in owned)
 
         assert all_views()
         solver.train_step(state, spec, 5)
         assert all_views()
-        assert float(state.y0) != 0.5
 
     def test_training_is_reproducible(self):
         spec = lookback_spec(iterations=10, batch_size=16)
         a = solver.train(spec)
         b = solver.train(spec)
         assert a.estimates == b.estimates and a.losses == b.losses
+
+
+class TestCallContracts:
+    @pytest.mark.parametrize("spec", [
+        lookback_spec(iterations=3, batch_size=8),
+        lookback_spec(method="backward", iterations=3, batch_size=8),
+        amerasian_spec(iterations=3, batch_size=8)], ids=solver.METHODS)
+    def test_train_calls_the_module_attributes_the_benchmark_patches(self, spec):
+        """perfbench marks an iteration by a ``derive_seed`` call made by
+        ``train`` itself, and swaps ``features_for_batch`` on the module,
+        expecting one call per iteration."""
+        stack, calls = [], []
+
+        def recorded(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, stack[-1] if stack else None))
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapper
+
+        with contextlib.ExitStack() as patches:
+            for name in ("train", "init_state", "derive_seed", "train_step",
+                         "features_for_batch"):
+                patches.enter_context(mock.patch.object(
+                    solver, name, recorded(name, getattr(solver, name))))
+            solver.train(spec)
+        in_train = [name for name, parent in calls if parent == "train"]
+        assert in_train == ["init_state"] + ["derive_seed", "train_step"] * 3
+        assert [parent for name, parent in calls
+                if name == "features_for_batch"] == ["train_step"] * 3
 
 
 class TestThreads:
