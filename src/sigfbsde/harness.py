@@ -274,12 +274,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             problems.append(f"{key}={resolved[key]} must be finite")
     if math.isfinite(resolved["lr"]) and resolved["lr"] <= 0:
         problems.append(f"lr={resolved['lr']} must be positive")
-    # every method's loss is a batch variance, identically zero for one path
-    if resolved["batch"] == 1:
-        problems.append(f"batch={resolved['batch']} must be at least 2")
-    if not problems and resolved["n_fine"] % resolved["n_coarse"] != 0:
-        problems.append(
-            f"n_coarse={resolved['n_coarse']} does not divide n_fine={resolved['n_fine']}")
     if problems:
         raise ConfigError("; ".join(problems))
 

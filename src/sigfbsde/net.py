@@ -204,19 +204,17 @@ def mlp_backward(params: MlpParams, cache, cotangent: np.ndarray,
         raise ValueError(f"cotangent shape {cotangent.shape} does not match output "
                          f"{x.shape[:-1] + (params.spec.out_dim,)}")
     if out is None:
-        grads = [np.empty(p.shape) for p in params.parameters()]
+        out = [np.empty(p.shape) for p in params.parameters()]
     elif len(out) != len(params.parameters()) or any(
             g.shape != p.shape or not g.flags.c_contiguous
             for g, p in zip(out, params.parameters())):
         raise ValueError("gradient outputs must be C-contiguous arrays of the "
                          "parameters' shapes")
-    else:
-        grads = out
     input_grad = np.empty(x.shape) if need_input_grad else None
-    sde._run_blocks(functools.partial(_backward_dates, params, x, buffers, cotangent, grads,
+    sde._run_blocks(functools.partial(_backward_dates, params, x, buffers, cotangent, out,
                                       input_grad),
                     list(buffers))
-    return grads, input_grad
+    return out, input_grad
 
 
 @dataclass

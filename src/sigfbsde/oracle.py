@@ -15,9 +15,8 @@ class OracleDomainError(ValueError):
 
 
 MIN_MC_PATHS = 1000  # fewest paths asian_european_mc accepts
-# asian_european_mc simulates a chunk's paths SUB_BATCH_PATHS at a time, so
-# that no chunk-sized state buffer is ever held
-SUB_BATCH_PATHS = 512
+BLOCK_PATHS = 4096   # asian_european_mc's paths per Philox stream
+SUB_BATCH_PATHS = 128   # and per draw, the rows of each thread's buffers
 
 
 def norm_cdf(x: float) -> float:
@@ -96,11 +95,8 @@ def quadratic_pde_solution(t: float, prefix_values: np.ndarray,
         raise OracleDomainError(f"need 0 <= t <= horizon, got t={t}")
     d = prefix.shape[1]
     basket = prefix.sum(axis=1)
-    if t == 0.0:
-        integral = 0.0
-    else:
-        h = t / (prefix.shape[0] - 1)
-        integral = float(np.sum(basket[:-1]) * h)
+    # no step before t = 0, whose prefix is the one row
+    integral = float(np.sum(basket[:-1]) * (t / max(prefix.shape[0] - 1, 1)))
     tail = horizon - t
     spot = float(basket[-1])
     return (integral ** 2 + spot ** 2 * tail ** 2 + 2.0 * tail * spot * integral
@@ -120,39 +116,53 @@ def quadratic_grid_value(d: int, x0: float, n_fine: int, horizon: float) -> floa
     return d * h ** 3 * (n - 1) * n * (2 * n - 1) / 6.0 + (d * x0 * horizon) ** 2
 
 
+def _block_sums(model: sde.ModelSpec, grid: sde.GridSpec, w: np.ndarray, strike: float,
+                seed: int, n_paths: int, bufs: dict, sums: np.ndarray, a, b):
+    """Write into ``sums[k]``, for blocks ``k`` in ``a:b``, the sums of
+    ``max(Σ_t X_t·w, strike) − strike`` and of its square over the paths of
+    block ``k``, which its Philox stream fills sub-batch after sub-batch."""
+    incr, states, pay = bufs[a]
+    for k in range(a, b):
+        size = min(BLOCK_PATHS, n_paths - k * BLOCK_PATHS)
+        key = np.array([seed, k], dtype=np.uint64)   # a seed may exceed 2**63
+        gen = np.random.Generator(np.random.Philox(key=key))
+        for lo in range(0, size, SUB_BATCH_PATHS):
+            rows = min(SUB_BATCH_PATHS, size - lo)
+            gen.standard_normal(out=incr[:rows])
+            np.multiply(incr[:rows], math.sqrt(grid.h), out=states[:rows, 1:])
+            sde._step_states(model, grid.h, states[:rows])
+            np.einsum("ptd,d->p", states[:rows, :-1], w, out=pay[lo:lo + rows])
+        block = np.maximum(pay[:size], strike, out=pay[:size])
+        block -= strike
+        sums[k] = block.sum(), np.square(block, out=block).sum()
+
+
 def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
-                      weights, n_paths: int, seed: int,
-                      chunk: int = 4096) -> tuple[float, float]:
+                      weights, n_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo value of the European average-price call.
 
     Discounted positive part of the weighted running average at maturity,
     using the same fine-grid quadrature as the solvers, summed directly
-    rather than through the whole running integral.  The payoffs are summed
-    ``chunk`` paths at a time, and a chunk's paths are simulated
-    :data:`SUB_BATCH_PATHS` at a time; each path's average is the same
-    whatever the sub-batch.  Returns ``(estimate, standard_error)``.
+    rather than through the whole running integral.  Block ``k`` of
+    :data:`BLOCK_PATHS` paths draws from one Philox stream keyed
+    ``(seed, k)``, so its draws and sums do not depend on the sub-batch;
+    whole blocks are split over the cores, so every bit is the same on any
+    core count.  Returns ``(estimate, standard_error)``.
     """
     if n_paths < MIN_MC_PATHS:
         raise ValueError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
-    w = np.asarray(weights, dtype=float)
     disc = math.exp(-model.rate * grid.horizon)
-    total, total_sq, done = 0.0, 0.0, 0
-    while done < n_paths:
-        b = min(chunk, n_paths - done)
-        avg = np.empty(b)
-        for lo in range(0, b, SUB_BATCH_PATHS):
-            hi = min(lo + SUB_BATCH_PATHS, b)
-            states = sde.simulate_batch(model, grid, hi - lo, seed,
-                                        path_offset=done + lo).states
-            avg[lo:hi] = (states[:, :-1] @ w).sum(axis=1) * grid.h / grid.horizon
-            del states
-        pay = disc * np.maximum(avg - strike, 0.0)
-        total += float(pay.sum())
-        total_sq += float((pay * pay).sum())
-        done += b
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_paths)
+    w = np.asarray(weights, dtype=float) * (disc * grid.h / grid.horizon)
+    parts = sde._blocks(-(-n_paths // BLOCK_PATHS), sde.thread_count())
+    # every thread's increment, state and payoff buffers, made on this thread
+    bufs = {a: (np.empty((SUB_BATCH_PATHS, grid.n_fine, model.dim)),
+                np.empty((SUB_BATCH_PATHS, grid.n_fine + 1, model.dim)),
+                np.empty(BLOCK_PATHS)) for a, _ in parts}
+    sums = np.empty((parts[-1][1], 2))
+    sde._run_blocks(lambda a, b: _block_sums(model, grid, w, disc * strike, seed, n_paths,
+                                             bufs, sums, a, b), parts)
+    mean, mean_sq = sums.sum(axis=0) / n_paths
+    return float(mean), math.sqrt(max(mean_sq - mean * mean, 0.0) / n_paths)
 
 
 def jensen_lower_bound(model: sde.ModelSpec, strike: float,

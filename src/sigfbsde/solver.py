@@ -161,8 +161,10 @@ class ExperimentSpec:
             raise SpecError(
                 f"embedding dimension {self.embed_dim} must lie in "
                 f"(0, {self.model.dim})")
-        if self.batch_size < 1 or self.iterations < 0 or self.runs < 1:
-            raise SpecError("batch_size/iterations/runs out of range")
+        if self.batch_size < 2:   # every loss is a batch variance, zero for one path
+            raise SpecError(f"batch={self.batch_size} must be at least 2")
+        if self.iterations < 0 or self.runs < 1:
+            raise SpecError("iterations/runs out of range")
 
     @property
     def stream_channels(self) -> int:
@@ -365,8 +367,7 @@ def features_for_batch(state: TrainState, batch: sde.PathBatch,
         if spec.feature == "signature":
             flat = engine.flatten_levels(stacked)
         else:
-            log_levels = engine.log_of_group(stacked)
-            flat = lyndon.project(log_levels, d_hat, spec.depth)
+            flat = lyndon.project(engine.log_of_group(stacked), d_hat, spec.depth)
         if flat.shape[-1] != width:
             raise SpecError(f"feature width {flat.shape[-1]} != expected {width}")
         features[:, rows] = np.moveaxis(flat, 0, 1)
@@ -536,9 +537,8 @@ def train(spec: ExperimentSpec, run_seed: int | None = None) -> RunReport:
     elif spec.method == "forward":
         report.final_estimate = state.y0
     else:
-        _, _, estimate = train_step(state, spec, derive_seed(spec.seed, 4, 0),
-                                    update=False)
-        report.final_estimate = estimate
+        report.final_estimate = train_step(state, spec, derive_seed(spec.seed, 4, 0),
+                                           update=False)[2]
     return report
 
 
@@ -556,7 +556,5 @@ def aggregate_runs(reports: list) -> RunSummary:
         raise ValueError("aggregate_runs needs at least one report")
     values = np.array([r.final_estimate for r in reports], dtype=float)
     mean = float(values.mean())
-    if len(values) == 1:
-        return RunSummary(mean, mean, mean, tuple(values))
-    half = 1.96 * float(values.std(ddof=1)) / np.sqrt(len(values))
+    half = 1.96 * float(values.std(ddof=1)) / np.sqrt(len(values)) if len(values) > 1 else 0.0
     return RunSummary(mean, mean - half, mean + half, tuple(values))

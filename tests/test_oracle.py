@@ -149,15 +149,17 @@ class TestAsianEuropeanMc:
         ratio = se_small / se_big
         assert 1.6 <= ratio <= 2.4
 
-    def test_estimate_does_not_depend_on_chunk(self):
+    def test_estimate_is_bit_equal_on_any_thread_count(self):
+        # five blocks, the last one partial, split over one to three threads;
+        # the seed is a uint64 above 2**63, as solver.derive_seed gives
         model = sde.ModelSpec.geometric((90.0, 110.0), 0.05, (0.15, 0.25))
         grid = sde.GridSpec(1.0, 20, 4)
-        small, se_small = oracle.asian_european_mc(model, grid, 100.0, [0.5, 0.5],
-                                                   20_000, seed=8, chunk=1000)
-        big, se_big = oracle.asian_european_mc(model, grid, 100.0, [0.5, 0.5],
-                                               20_000, seed=8, chunk=20_000)
-        assert abs(small - big) <= 1e-12 * abs(big)
-        assert abs(se_small - se_big) <= 1e-9 * se_big
+        runs = []
+        for threads in (1, 2, 3):
+            with mock.patch.object(sde, "thread_count", lambda: threads):
+                runs.append(oracle.asian_european_mc(model, grid, 100.0, [0.5, 0.5],
+                                                     20_000, seed=2 ** 64 - 8))
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_estimate_is_bit_equal_whatever_the_sub_batch(self, dim):
@@ -168,10 +170,10 @@ class TestAsianEuropeanMc:
             with mock.patch.object(oracle, "SUB_BATCH_PATHS", paths):
                 runs.append(oracle.asian_european_mc(model, grid, 100.0,
                                                      np.full(dim, 1.0 / dim), 2500,
-                                                     seed=10, chunk=1024))
+                                                     seed=10))
         assert runs[0] == runs[1] == runs[2]
 
-    def test_peak_memory_is_below_one_chunk_of_states(self):
+    def test_peak_memory_is_below_one_block_of_states(self):
         model = sde.ModelSpec.geometric(100.0, 0.05, 0.2)
         grid = sde.GridSpec(1.0, 200, 20)
         oracle.asian_european_mc(model, grid, 100.0, [1.0], 1000, seed=11)   # warm up
@@ -181,16 +183,36 @@ class TestAsianEuropeanMc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4096 * (grid.n_fine + 1) * 8   # one chunk's state buffer
+        assert peak < oracle.BLOCK_PATHS * (grid.n_fine + 1) * 8   # one block's states
+
+    def test_two_threads_peak_below_the_per_path_oracle_on_one_thread(self):
+        # 1,716,734 bytes: this call's peak on one thread when every path had
+        # its own Philox key and 512-path sub-batches were simulated whole
+        model = sde.ModelSpec.geometric(100.0, 0.05, 0.2)
+        grid = sde.GridSpec(1.0, 200, 20)
+        with mock.patch.object(sde, "thread_count", lambda: 2):
+            oracle.asian_european_mc(model, grid, 100.0, [1.0], 1000, seed=11)   # warm up
+            tracemalloc.start()
+            try:
+                oracle.asian_european_mc(model, grid, 100.0, [1.0], 10_000, seed=11)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_716_734
 
     def test_terminal_sum_matches_running_integral(self):
         # zero strike on positive paths: the estimate is the discounted mean
-        # of the terminal average, which running_integral also gives
+        # of the terminal average, which running_integral also gives on
+        # block 0's paths, drawn here from the block's one stream
         model = sde.ModelSpec.geometric((90.0, 110.0), 0.05, (0.15, 0.25))
         grid = sde.GridSpec(2.0, 60, 6)
         w = np.array([0.3, 0.7])
         est, _ = oracle.asian_european_mc(model, grid, 0.0, w, 3000, seed=9)
-        batch = sde.simulate_batch(model, grid, 3000, 9)
+        gen = np.random.Generator(np.random.Philox(key=[9, 0]))
+        states = np.empty((3000, grid.n_fine + 1, 2))
+        states[:, 1:] = gen.standard_normal((3000, grid.n_fine, 2)) * math.sqrt(grid.h)
+        sde._step_states(model, grid.h, states)
+        batch = sde.PathBatch(states, np.empty((3000, grid.n_coarse, 2)), grid, 9)
         terminal = sde.running_integral(batch, w)[:, -1]
         expect = math.exp(-0.05 * 2.0) * np.mean(terminal) / grid.horizon
         assert abs(est - expect) <= 1e-13 * expect

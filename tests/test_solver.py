@@ -93,6 +93,14 @@ class TestSpecValidation:
         with pytest.raises(solver.SpecError):
             lookback_spec(method="sideways")
 
+    @pytest.mark.parametrize("method", solver.METHODS)
+    def test_one_path_batch_rejected(self, method):
+        # a one-path batch has zero variance: every loss is 0, nothing trains
+        make = amerasian_spec if method == "reflected" else lookback_spec
+        with pytest.raises(solver.SpecError, match="batch=1 must be at least 2"):
+            make(method=method, batch_size=1)
+        assert make(method=method, batch_size=2).batch_size == 2
+
 
 def node_features(state, batch, spec):
     """Features and increments of the time-augmented node formulation: the
@@ -297,6 +305,7 @@ class TestFeatureChunks:
     def test_chunks_are_bitwise_one_chunk(self, chunk, chunks, offset, feature,
                                           embedded, depth):
         # batch sizes on and around a multiple of the chunk size
+        # the spec needs two paths; the features read the one-path batch's size
         batch_size = max(1, chunk * chunks + offset)
         spec = solver.ExperimentSpec(
             method="backward",
@@ -304,7 +313,7 @@ class TestFeatureChunks:
             grid=sde.GridSpec(1.0, 12, 3), driver=solver.DriverKind(0.05),
             payoff=solver.PayoffKind("asian-basket-call", strike=100.0),
             depth=depth, feature=feature, embed_dim=2 if embedded else None,
-            batch_size=batch_size, seed=1)
+            batch_size=max(2, batch_size), seed=1)
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, batch_size, 9)
         cot = np.random.default_rng(depth).standard_normal(
@@ -326,7 +335,7 @@ class TestFeatureChunks:
             grid=sde.GridSpec(1.0, 12, 3), driver=solver.DriverKind(0.05),
             payoff=solver.PayoffKind("asian-basket-call", strike=100.0),
             depth=depth, feature=feature, embed_dim=2 if embedded else None,
-            batch_size=size, seed=1)
+            batch_size=max(2, size), seed=1)
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, size, 9)
         cot = np.random.default_rng(depth).standard_normal(
@@ -659,44 +668,67 @@ class TestCallContracts:
                 if name == "features_for_batch"] == ["train_step"] * 3
 
 
+@contextlib.contextmanager
+def thread_log(workers):
+    """Log which thread every public function of the package runs on.
+
+    Yields ``(calls, off_main)``: ``(name, on_main_thread)`` per public
+    call, and the names among the private ``(module, attr)`` ``workers``
+    that ran off the main thread.  ``sde.thread_count`` is pinned to 2, so
+    batches, stacks and oracle blocks split in two.
+    """
+    calls, off_main = [], set()
+
+    def recorded(name, fn, log):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            log(name, threading.current_thread() is threading.main_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with contextlib.ExitStack() as patches:
+        for module in (sde, net, engine, lyndon, solver, oracle):
+            for attr, fn in vars(module).copy().items():
+                if attr.startswith("_") or not inspect.isfunction(fn) \
+                        or fn.__module__ != module.__name__:
+                    continue
+                if fn is sde.thread_count:
+                    fn = lambda: 2
+                patches.enter_context(mock.patch.object(module, attr, recorded(
+                    attr, fn, lambda name, main: calls.append((name, main)))))
+        for module, attr in workers:
+            patches.enter_context(mock.patch.object(module, attr, recorded(
+                attr, getattr(module, attr), lambda name, main: main or off_main.add(name))))
+        yield calls, off_main
+
+
 class TestThreads:
+    """Worker threads call private helpers only, so a tracer that wraps
+    every public function (as perfbench's does) sees one thread."""
+
     def test_public_functions_run_on_the_main_thread(self):
-        """Worker threads call private helpers only, so a tracer that wraps
-        every public function (as perfbench's does) sees one thread."""
         spec = solver.ExperimentSpec(
             method="backward", model=sde.ModelSpec.arithmetic_unit(0.5, dim=8),
             grid=sde.GridSpec(1.0, 128, 8), driver=solver.DriverKind(),
             payoff=solver.PayoffKind("quadratic-integral"), depth=2, embed_dim=2,
             batch_size=net.PARALLEL_MIN_ROWS // 4, iterations=1, seed=0)
-        calls, off_main = [], set()
-
-        def recorded(name, fn, log):
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                log(name, threading.current_thread() is threading.main_thread())
-                return fn(*args, **kwargs)
-            return wrapper
-
-        with contextlib.ExitStack() as patches:
-            for module in (sde, net, engine, lyndon, solver):
-                for attr, fn in vars(module).copy().items():
-                    if attr.startswith("_") or not inspect.isfunction(fn) \
-                            or fn.__module__ != module.__name__:
-                        continue
-                    if fn is sde.thread_count:
-                        fn = lambda: 2   # pinned: the batch and the stack split in two
-                    patches.enter_context(mock.patch.object(module, attr, recorded(
-                        attr, fn, lambda name, main: calls.append((name, main)))))
-            for module, attr in [(sde, "_simulate_rows"), (net, "_forward_dates"),
-                                 (net, "_backward_dates")]:
-                patches.enter_context(mock.patch.object(module, attr, recorded(
-                    attr, getattr(module, attr), lambda name, main: main or off_main.add(name))))
+        with thread_log([(sde, "_simulate_rows"), (net, "_forward_dates"),
+                         (net, "_backward_dates")]) as (calls, off_main):
             state = solver.init_state(spec)
             solver.train_step(state, spec, 7)
         names = {name for name, _ in calls}
         assert {"simulate_batch", "thread_count", "mlp_forward", "mlp_backward",
                 "checkpoint_scan", "features_backward"} <= names
         assert off_main == {"_simulate_rows", "_forward_dates", "_backward_dates"}
+        assert [name for name, main in calls if not main] == []
+
+    def test_oracle_blocks_are_all_that_leave_the_main_thread(self):
+        model = sde.ModelSpec.geometric(100.0, 0.05, 0.15)
+        with thread_log([(oracle, "_block_sums")]) as (calls, off_main):
+            oracle.asian_european_mc(model, sde.GridSpec(1.0, 20, 4), 100.0, [1.0],
+                                     3 * oracle.BLOCK_PATHS, seed=1)
+        assert {name for name, _ in calls} == {"asian_european_mc", "thread_count"}
+        assert off_main == {"_block_sums"}
         assert [name for name, main in calls if not main] == []
 
 
