@@ -153,12 +153,12 @@ def asian_european_mc(model: sde.ModelSpec, grid: sde.GridSpec, strike: float,
         raise ValueError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
     disc = math.exp(-model.rate * grid.horizon)
     w = np.asarray(weights, dtype=float) * (disc * grid.h / grid.horizon)
-    parts = sde._blocks(-(-n_paths // BLOCK_PATHS), sde.thread_count())
+    sums = np.empty((-(-n_paths // BLOCK_PATHS), 2))   # per block: sum, sum of squares
+    parts = sde._blocks(len(sums), sde.thread_count())
     # every thread's increment, state and payoff buffers, made on this thread
     bufs = {a: (np.empty((SUB_BATCH_PATHS, grid.n_fine, model.dim)),
                 np.empty((SUB_BATCH_PATHS, grid.n_fine + 1, model.dim)),
                 np.empty(BLOCK_PATHS)) for a, _ in parts}
-    sums = np.empty((parts[-1][1], 2))
     sde._run_blocks(lambda a, b: _block_sums(model, grid, w, disc * strike, seed, n_paths,
                                              bufs, sums, a, b), parts)
     mean, mean_sq = sums.sum(axis=0) / n_paths

@@ -392,6 +392,14 @@ class TestCli:
         assert "n_coarse=0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coarse_dates_not_dividing_fine_steps_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = cli.main(["run", "--experiment", "quadratic", "--profile", "desk",
+                         "--out", str(out), "--set", "n_coarse=7"])
+        assert code == 2
+        assert "n_coarse=7 does not divide n_fine=100" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_embedding_beyond_depth_three_runs(self, tmp_path):
         out = tmp_path / "m4"
         code = cli.main(["run", "--experiment", "quadratic", "--profile", "desk",

@@ -304,8 +304,8 @@ class TestFeatureChunks:
            depth=st.integers(1, 3))
     def test_chunks_are_bitwise_one_chunk(self, chunk, chunks, offset, feature,
                                           embedded, depth):
-        # batch sizes on and around a multiple of the chunk size
-        # the spec needs two paths; the features read the one-path batch's size
+        # batch sizes on and around a multiple of the chunk size, one path
+        # included: the spec needs two, but the features read the batch's size
         batch_size = max(1, chunk * chunks + offset)
         spec = solver.ExperimentSpec(
             method="backward",
