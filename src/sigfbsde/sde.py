@@ -285,11 +285,12 @@ def running_integral(batch: PathBatch, weights) -> np.ndarray:
     Entry 0 is 0; entry ``n_fine`` approximates the integral over the full
     horizon.  Shape ``(B, n_fine+1)``.
     """
-    out = batch.states @ np.asarray(weights, dtype=float)
-    # in the one buffer: the weighted states shifted right by one step, times
-    # h and summed from entry 1, which takes no 0 + x step (a -0.0 stays -0.0)
-    out[:, 1:] = out[:, :-1]
-    out[:, 1:] *= batch.grid.h
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    out = np.empty(batch.states.shape[:2])
     out[:, 0] = 0.0
+    # in the one buffer: the weighted states written one step to the right,
+    # times h and summed from entry 1, which takes no 0 + x step (a -0.0
+    # stays -0.0); the product is scaled whole, as a strided view is buffered
+    np.matmul(batch.states[:, :-1], np.asarray(weights, dtype=float), out=out[:, 1:])
+    out *= batch.grid.h
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out

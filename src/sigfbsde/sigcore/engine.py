@@ -216,13 +216,31 @@ def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -
     return out
 
 
+def _next_power(power: Levels, s: Levels, n: int) -> Levels:
+    """``(s-1)^{⊗n}`` from ``power = (s-1)^{⊗(n-1)}``, both with unit 0.
+
+    Levels below ``n`` of the result are zero, and so are levels below
+    ``n-1`` of ``power``: only levels ``k ≥ n`` are made, from the blocks
+    ``power_i ⊗ s_{k-i}`` with ``i ≥ n-1``, in :func:`product`'s order, and
+    the levels below are ``None``.
+    """
+    out: Levels = [None] * (n - 1)
+    for k in range(n, len(s) + 1):
+        acc = None
+        for i in range(n - 1, k):
+            term = _outer(power[i - 1], s[k - i - 1])
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
 def log_of_group(s: Levels) -> Levels:
     """Tensor logarithm of a group-like series (unit 1); result is Lie-like."""
     m = len(s)
     acc = copy_levels(s)
     power = s  # (s - 1)^{⊗1}: same level blocks, unit 0
     for n in range(2, m + 1):
-        power = product(power, s, 0.0, 0.0)
+        power = _next_power(power, s, n)
         coeff = (-1.0) ** (n + 1) / n
         for k in range(n, m + 1):
             acc[k - 1] = acc[k - 1] + coeff * power[k - 1]
@@ -235,7 +253,7 @@ def exp_of_lie(v: Levels) -> Levels:
     acc = copy_levels(v)
     power = v
     for n in range(2, m + 1):
-        power = product(power, v, 0.0, 0.0)
+        power = _next_power(power, v, n)
         inv_fact = 1.0 / math.factorial(n)
         for k in range(n, m + 1):
             acc[k - 1] = acc[k - 1] + inv_fact * power[k - 1]

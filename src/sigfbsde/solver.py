@@ -416,29 +416,27 @@ def _scheme(spec: ExperimentSpec) -> tuple:
     return -1.0, range(n_seg - 1, -1, -1)
 
 
-def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
-            features: np.ndarray, coarse_incs: np.ndarray):
+def rollout(state: TrainState, spec: ExperimentSpec, features: np.ndarray,
+            coarse_incs: np.ndarray, payoff: np.ndarray, exercise):
     """Run the coarse recursion in the direction of ``spec.method``.
 
     ``forward`` starts from the initial value ``state.y0`` at date 0;
-    ``backward`` and ``reflected`` start from the terminal payoff at date
-    ``N``, and ``reflected`` floors every value at the early-exercise payoff.
-    Date ``n`` links the values at ``n`` and ``n+1`` through
+    ``backward`` and ``reflected`` start from the terminal ``payoff`` at
+    date ``N``, and ``reflected`` floors every value at the early-exercise
+    payoff ``exercise`` (both from :meth:`PayoffKind.values`).  Date ``n``
+    links the values at ``n`` and ``n+1`` through
     ``y - sign*f(y)*dt + sign*Σ z·ΔW``, with ``z`` the output of approximator
-    ``n`` and ``ΔW`` the Brownian increment over segment ``n``.
+    ``n`` and ``ΔW`` the Brownian increment ``coarse_incs[:, n]``.
 
-    Returns ``(ys, payoff, nets, masks)``: ``ys[:, n]`` is the value at
-    coarse date ``n``, ``payoff`` the terminal payoff, ``nets`` the
-    ``(output, cache)`` of the stacked approximators, and ``masks[n]`` where
-    the value stepped to by date ``n`` stayed on or above the floor
-    (``None`` without a floor).
+    Returns ``(ys, nets, masks)``: ``ys[:, n]`` is the value at coarse date
+    ``n``, ``nets`` the ``(output, cache)`` of the stacked approximators,
+    and ``masks[n]`` where the value stepped to by date ``n`` stayed on or
+    above the floor (``None`` without a floor).
     """
     sign, dates = _scheme(spec)
     n_seg, dt = spec.grid.n_coarse, spec.grid.dt
-    # the payoff's temporaries are freed before the nets' cache is allocated
-    payoff, exercise = spec.payoff.values(batch)
     zs, cache = net.mlp_forward(state.nets, features)
-    ys = np.empty((batch.batch_size, n_seg + 1))
+    ys = np.empty((len(payoff), n_seg + 1))
     if sign > 0:
         ys[:, 0] = state.y0
     else:
@@ -453,7 +451,7 @@ def rollout(state: TrainState, spec: ExperimentSpec, batch: sde.PathBatch,
             masks[n] = y >= exercise[:, n]
             y = np.maximum(exercise[:, n], y)
         ys[:, dst] = y
-    return ys, payoff, (zs, cache), masks
+    return ys, (zs, cache), masks
 
 
 def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
@@ -472,11 +470,18 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     the sweep fills every date's output cotangent, then one stacked
     backward pass gives all net and feature gradients.  Returns
     ``(state, loss, estimate)``.
+
+    Each batch array dies with its last reader: the batch is dropped once
+    the payoffs are taken, so the fine grid outlives them only in the
+    features' cache of a trained embedding, and the coarse increments are
+    dropped after the adjoint sweep.
     """
     batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, seed)
     features, fcache = features_for_batch(state, batch, spec)
-    ys, payoff, (zs, cache), masks = rollout(state, spec, batch, features,
-                                             batch.coarse_increments)
+    payoff, exercise = spec.payoff.values(batch)
+    coarse_incs = batch.coarse_increments
+    del batch
+    ys, (zs, cache), masks = rollout(state, spec, features, coarse_incs, payoff, exercise)
     sign, dates = _scheme(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         values = ys[:, -1] - payoff if sign > 0 else ys[:, 0]
@@ -497,8 +502,9 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]
-            g_z[n] = sign * adj[:, None] * batch.coarse_increments[:, n, :]
+            g_z[n] = sign * adj[:, None] * coarse_incs[:, n, :]
             adj = adj * step_factor
+        del coarse_incs
         _, feature_cots = net.mlp_backward(state.nets, cache, g_z, fcache is not None,
                                            out=state.grad.nets.parameters())
         del cache, features, zs, g_z   # spent; freed before the features' reverse pass

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -160,6 +161,41 @@ class TestLog:
         up = engine.segment_exp(np.array([0.0, 1.0]), 2)
         log = engine.log_of_group(engine.product(right, up))
         np.testing.assert_allclose(log[1], [0.0, 0.5, -0.5, 0.0], atol=1e-15)
+
+
+def power_series(s, coeff):
+    """``s + Σ_{n≥2} coeff(n)·(s-1)^{⊗n}``, each power a full
+    ``engine.product`` with units 0, zero lower levels included."""
+    m = len(s)
+    acc, power = engine.copy_levels(s), s
+    for n in range(2, m + 1):
+        power = engine.product(power, s, 0.0, 0.0)
+        for k in range(n, m + 1):
+            acc[k - 1] = acc[k - 1] + coeff(n) * power[k - 1]
+    return acc
+
+
+class TestLiePowers:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_log_and_exp_equal_the_full_power_chain_bytewise(self, rng, depth):
+        for d in (2, 3):
+            s = random_levels(rng, (4, 3), d, depth)
+            got = engine.log_of_group(s)
+            want = power_series(s, lambda n: (-1.0) ** (n + 1) / n)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            got = engine.exp_of_lie(s)
+            want = power_series(s, lambda n: 1.0 / math.factorial(n))
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    def test_no_outer_product_of_an_all_zero_block(self, rng, depth):
+        s = random_levels(rng, (4, 3), 2, depth)
+        for kernel in (engine.log_of_group, engine.exp_of_lie):
+            with mock.patch.object(engine, "_outer", wraps=engine._outer) as outer:
+                kernel(s)
+            assert outer.call_count > 0
+            for call in outer.call_args_list:
+                assert all(np.any(block != 0.0) for block in call.args)
 
 
 class TestRoundTrips:

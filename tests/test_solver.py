@@ -3,6 +3,7 @@ import functools
 import inspect
 import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -460,6 +461,37 @@ class TestStepMemory:
         date_array = 5 * 250 * 100 * 8
         assert peak <= states + 6.5 * date_array
 
+    @pytest.mark.parametrize("embed_dim", [None, 2])
+    def test_batch_arrays_die_with_their_last_reader(self, monkeypatch, embed_dim):
+        # a plain stream's fine grid is dead once the payoffs are taken; a
+        # trained embedding's gradient still reads it; the coarse increments
+        # are dead once the adjoint sweep is done
+        spec = amerasian_spec(model=sde.ModelSpec.geometric(100.0, 0.05, 0.15, dim=3),
+                              embed_dim=embed_dim)
+        simulate, forward, backward = sde.simulate_batch, net.mlp_forward, net.mlp_backward
+        refs, alive = {}, {}
+
+        def simulated(*args, **kw):
+            batch = simulate(*args, **kw)
+            refs["states"] = weakref.ref(batch.states)
+            refs["increments"] = weakref.ref(batch.coarse_increments)
+            return batch
+
+        def watch(stage, fn):
+            def watched(*args, **kw):
+                alive[stage] = {name: ref() is not None for name, ref in refs.items()}
+                return fn(*args, **kw)
+            return watched
+
+        monkeypatch.setattr(sde, "simulate_batch", simulated)
+        monkeypatch.setattr(net, "mlp_forward", watch("forward", forward))
+        monkeypatch.setattr(net, "mlp_backward", watch("backward", backward))
+        state = solver.init_state(spec)
+        solver.train_step(state, spec, 1)
+        embedded = embed_dim is not None
+        assert alive == {"forward": {"states": embedded, "increments": True},
+                         "backward": {"states": embedded, "increments": False}}
+
 
 class TestForwardIteration:
     @pytest.mark.parametrize("n_coarse", [1, 2, 4])
@@ -518,8 +550,8 @@ class TestForwardIteration:
             stacked[...] = value
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 31)
         features, _ = solver.features_for_batch(state, batch, spec)
-        ys, _, _, _ = solver.rollout(state, spec, batch, features,
-                                     batch.coarse_increments)
+        ys, _, _ = solver.rollout(state, spec, features, batch.coarse_increments,
+                                  *spec.payoff.values(batch))
         gains = ys[:, -1] - ys[:, 0]
         bound = 3.0 * gains.std(ddof=1) / np.sqrt(spec.batch_size)
         assert abs(gains.mean()) <= bound
@@ -558,8 +590,8 @@ class TestBackwardIteration:
         state = solver.init_state(spec)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 11)
         features, _ = solver.features_for_batch(state, batch, spec)
-        ys, _, _, _ = solver.rollout(state, spec, batch, features,
-                                     batch.coarse_increments)
+        ys, _, _ = solver.rollout(state, spec, features, batch.coarse_increments,
+                                  *spec.payoff.values(batch))
         _, _, estimate = solver.train_step(state, spec, 11, update=False)
         assert abs(estimate - ys[:, 0].mean()) < 1e-14
 
@@ -572,9 +604,9 @@ class TestReflectedIteration:
             solver.train_step(state, spec, 100 + it)
         batch = sde.simulate_batch(spec.model, spec.grid, spec.batch_size, 999)
         features, _ = solver.features_for_batch(state, batch, spec)
-        ys, _, _, _ = solver.rollout(state, spec, batch, features,
-                                     batch.coarse_increments)
-        _, exercise = spec.payoff.values(batch)
+        payoff, exercise = spec.payoff.values(batch)
+        ys, _, _ = solver.rollout(state, spec, features, batch.coarse_increments,
+                                  payoff, exercise)
         assert np.min(ys - exercise) >= 0.0
 
     def test_zero_volatility_matches_dynamic_programming(self):
