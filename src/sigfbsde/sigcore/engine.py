@@ -216,6 +216,11 @@ def checkpoint_scan(increments: np.ndarray, fine_per_segment: int, depth: int) -
     return out
 
 
+def _add(acc: Levels, k: int, term: np.ndarray) -> None:
+    """Add ``term`` to level ``k`` of ``acc``, where ``None`` is an empty sum."""
+    acc[k - 1] = term if acc[k - 1] is None else acc[k - 1] + term
+
+
 def _next_power(power: Levels, s: Levels, n: int) -> Levels:
     """``(s-1)^{⊗n}`` from ``power = (s-1)^{⊗(n-1)}``, both with unit 0.
 
@@ -224,40 +229,31 @@ def _next_power(power: Levels, s: Levels, n: int) -> Levels:
     ``power_i ⊗ s_{k-i}`` with ``i ≥ n-1``, in :func:`product`'s order, and
     the levels below are ``None``.
     """
-    out: Levels = [None] * (n - 1)
+    out: Levels = [None] * len(s)
     for k in range(n, len(s) + 1):
-        acc = None
         for i in range(n - 1, k):
-            term = _outer(power[i - 1], s[k - i - 1])
-            acc = term if acc is None else acc + term
-        out.append(acc)
+            _add(out, k, _outer(power[i - 1], s[k - i - 1]))
     return out
+
+
+def _power_series(s: Levels, coeff) -> Levels:
+    """``s + sum_{n=2..m} coeff(n) * (s-1)^{⊗n}``, the powers made by :func:`_next_power`."""
+    acc, power = copy_levels(s), s  # (s - 1)^{⊗1}: same level blocks, unit 0
+    for n in range(2, len(s) + 1):
+        power = _next_power(power, s, n)
+        for k in range(n, len(s) + 1):
+            acc[k - 1] = acc[k - 1] + coeff(n) * power[k - 1]
+    return acc
 
 
 def log_of_group(s: Levels) -> Levels:
     """Tensor logarithm of a group-like series (unit 1); result is Lie-like."""
-    m = len(s)
-    acc = copy_levels(s)
-    power = s  # (s - 1)^{⊗1}: same level blocks, unit 0
-    for n in range(2, m + 1):
-        power = _next_power(power, s, n)
-        coeff = (-1.0) ** (n + 1) / n
-        for k in range(n, m + 1):
-            acc[k - 1] = acc[k - 1] + coeff * power[k - 1]
-    return acc
+    return _power_series(s, lambda n: (-1.0) ** (n + 1) / n)
 
 
 def exp_of_lie(v: Levels) -> Levels:
     """Tensor exponential of a Lie-like series (unit 0); result is group-like."""
-    m = len(v)
-    acc = copy_levels(v)
-    power = v
-    for n in range(2, m + 1):
-        power = _next_power(power, v, n)
-        inv_fact = 1.0 / math.factorial(n)
-        for k in range(n, m + 1):
-            acc[k - 1] = acc[k - 1] + inv_fact * power[k - 1]
-    return acc
+    return _power_series(v, lambda n: 1.0 / math.factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +290,26 @@ def product_vjp(a: Levels, b: Levels, cot: Levels,
 def log_of_group_vjp(s: Levels, cot: Levels) -> Levels:
     """Cotangent of :func:`log_of_group` with respect to the input levels.
 
-    ``log(s) = s + sum_{n=2..m} (-1)**(n+1) / n * u_n`` with the product chain
-    ``u_1 = s``, ``u_n = u_{n-1} ⊗ s`` (units 0); the chain is walked back
-    from ``u_m`` with :func:`product_vjp`.
+    ``log(s) = s + sum_{n=2..m} (-1)**(n+1) / n * u_n`` with :func:`_next_power`'s
+    chain ``u_1 = s``, ``u_n = u_{n-1} ⊗ s``, walked back from ``u_m`` over only
+    the blocks it multiplied, in :func:`product_vjp`'s order.
     """
-    m = len(s)
+    m, d = len(s), s[0].shape[-1]
     powers = [s]
-    for _ in range(2, m):
-        powers.append(product(powers[-1], s, 0.0, 0.0))
-    grad = copy_levels(cot)
-    carry = [np.zeros_like(c) for c in cot]  # cotangent of u_n from u_{n+1}
+    for n in range(2, m):
+        powers.append(_next_power(powers[-1], s, n))
+    grad, carry = copy_levels(cot), [None] * m  # carry: u_n's cotangent from u_{n+1}
     for n in range(m, 1, -1):
         coeff = (-1.0) ** (n + 1) / n
-        g_power = [coeff * c + g for c, g in zip(cot, carry)]
-        carry, g_s = product_vjp(powers[n - 2], s, g_power, 0.0, 0.0)
-        grad = [g + h for g, h in zip(grad, g_s)]
-    return [g + h for g, h in zip(grad, carry)]
+        g_u = [coeff * c if h is None else coeff * c + h  # u_n's levels n..m
+               for c, h in zip(cot[n - 1:], carry[n - 1:])]
+        carry, g_s = [None] * m, [None] * m
+        for k in range(n, m + 1):
+            for i in range(n - 1, k):
+                _add(carry, i, _contract_right(g_u[k - n], s[k - i - 1], d, i, k - i))
+                _add(g_s, k - i, _contract_left(g_u[k - n], powers[n - 2][i - 1], d, i, k - i))
+        grad = [g if h is None else g + h for g, h in zip(grad, g_s)]
+    return [g if h is None else g + h for g, h in zip(grad, carry)]
 
 
 def _revcumsum(a: np.ndarray) -> np.ndarray:

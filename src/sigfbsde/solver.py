@@ -431,7 +431,9 @@ def rollout(state: TrainState, spec: ExperimentSpec, features: np.ndarray,
     Returns ``(ys, nets, masks)``: ``ys[:, n]`` is the value at coarse date
     ``n``, ``nets`` the ``(output, cache)`` of the stacked approximators,
     and ``masks[n]`` where the value stepped to by date ``n`` stayed on or
-    above the floor (``None`` without a floor).
+    above the floor (``None`` without a floor).  The rollout spends the
+    output: date ``n`` overwrites ``output[n]`` with the products ``z * ΔW``
+    it sums, so the caller may reuse the array.
     """
     sign, dates = _scheme(spec)
     n_seg, dt = spec.grid.n_coarse, spec.grid.dt
@@ -445,8 +447,8 @@ def rollout(state: TrainState, spec: ExperimentSpec, features: np.ndarray,
     for n in dates:
         src, dst = (n, n + 1) if sign > 0 else (n + 1, n)
         y = ys[:, src]
-        y = y - sign * spec.driver.f(y) * dt \
-            + sign * np.sum(zs[n] * coarse_incs[:, n, :], axis=1)
+        gain = np.multiply(zs[n], coarse_incs[:, n, :], out=zs[n])
+        y = y - sign * spec.driver.f(y) * dt + sign * np.sum(gain, axis=1)
         if spec.method == "reflected":
             masks[n] = y >= exercise[:, n]
             y = np.maximum(exercise[:, n], y)
@@ -496,13 +498,13 @@ def train_step(state: TrainState, spec: ExperimentSpec, seed: int,
     if update:
         adj = 2.0 * resid / spec.batch_size
         step_factor = 1.0 - sign * spec.driver.dy() * spec.grid.dt
-        # the nets' outputs are dead after the rollout and mlp_backward never
-        # reads them, so their array takes the output cotangents
+        # the rollout spent the nets' outputs and mlp_backward never reads
+        # them, so their array takes the output cotangents
         g_z = zs
         for n in reversed(dates):
             if masks[n] is not None:
                 adj = adj * masks[n]
-            g_z[n] = sign * adj[:, None] * coarse_incs[:, n, :]
+            np.multiply(sign * adj[:, None], coarse_incs[:, n, :], out=g_z[n])
             adj = adj * step_factor
         del coarse_incs
         _, feature_cots = net.mlp_backward(state.nets, cache, g_z, fcache is not None,

@@ -175,6 +175,34 @@ def power_series(s, coeff):
     return acc
 
 
+def power_chain_log_vjp(s, cot):
+    """Reverse pass of :func:`power_series`'s logarithm: every power a full
+    ``engine.product`` with units 0, walked back with ``engine.product_vjp``
+    over every level, zero lower levels included."""
+    m = len(s)
+    powers = [s]
+    for _ in range(2, m):
+        powers.append(engine.product(powers[-1], s, 0.0, 0.0))
+    grad = engine.copy_levels(cot)
+    carry = [np.zeros_like(c) for c in cot]
+    for n in range(m, 1, -1):
+        coeff = (-1.0) ** (n + 1) / n
+        g_power = [coeff * c + g for c, g in zip(cot, carry)]
+        carry, g_s = engine.product_vjp(powers[n - 2], s, g_power, 0.0, 0.0)
+        grad = [g + h for g, h in zip(grad, g_s)]
+    return [g + h for g, h in zip(grad, carry)]
+
+
+def lyndon_cotangent(rng, batch, channels, depth):
+    """Random level cotangents scattered to the Lyndon positions, zero
+    elsewhere, as ``lyndon.project_vjp`` makes them; every third top-level
+    Lyndon coefficient is zero too."""
+    cot = rng.standard_normal(batch + (lyndon.lyndon_count(channels, depth),))
+    top = lyndon.lyndon_count(channels, depth - 1)
+    cot[..., top::3] = 0.0
+    return lyndon.project_vjp(cot, channels, depth)
+
+
 class TestLiePowers:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     def test_log_and_exp_equal_the_full_power_chain_bytewise(self, rng, depth):
@@ -196,6 +224,33 @@ class TestLiePowers:
             assert outer.call_count > 0
             for call in outer.call_args_list:
                 assert all(np.any(block != 0.0) for block in call.args)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_log_vjp_equals_the_full_power_chain(self, rng, depth):
+        # np.array_equal: zeros of either sign count as equal
+        for d in (2, 3):
+            s = random_levels(rng, (4, 3), d, depth)
+            for cot in (random_levels(rng, (4, 3), d, depth),
+                        lyndon_cotangent(rng, (4, 3), d, depth)):
+                got = engine.log_of_group_vjp(s, cot)
+                want = power_chain_log_vjp(s, cot)
+                assert len(got) == depth
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_log_vjp_runs_no_general_product_and_no_zero_block(self, rng, depth):
+        s = random_levels(rng, (4, 3), 2, depth)
+        cot = lyndon_cotangent(rng, (4, 3), 2, depth)
+        with mock.patch.object(engine, "product", side_effect=AssertionError), \
+                mock.patch.object(engine, "product_vjp", side_effect=AssertionError), \
+                mock.patch.object(engine, "_contract_right",
+                                  wraps=engine._contract_right) as right, \
+                mock.patch.object(engine, "_contract_left",
+                                  wraps=engine._contract_left) as left:
+            engine.log_of_group_vjp(s, cot)
+        calls = right.call_args_list + left.call_args_list
+        assert right.call_count > 0 and left.call_count > 0
+        assert all(np.any(call.args[1] != 0.0) for call in calls)
 
 
 class TestRoundTrips:

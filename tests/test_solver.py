@@ -461,6 +461,54 @@ class TestStepMemory:
         date_array = 5 * 250 * 100 * 8
         assert peak <= states + 6.5 * date_array
 
+    def test_rollout_and_adjoint_sweep_make_no_date_temporary(self, monkeypatch):
+        # d=100: from the nets' output to the end of the rollout, and from
+        # there to the stacked backward pass, the traced peak stays below
+        # one (B, d) array above the level where it starts; a per-date
+        # z * ΔW product or cotangent temporary is one such array
+        spec = solver.ExperimentSpec(
+            method="backward", model=sde.ModelSpec.arithmetic_unit(0.0, dim=100),
+            grid=sde.GridSpec(1.0, 20, 5), driver=solver.DriverKind(),
+            payoff=solver.PayoffKind("quadratic-integral"), depth=2,
+            feature="log-signature", embed_dim=5, batch_size=250, seed=0)
+        forward, rollout, backward = net.mlp_forward, solver.rollout, net.mlp_backward
+        levels, rises = {}, {}
+
+        def start(stage):
+            tracemalloc.reset_peak()
+            levels[stage] = tracemalloc.get_traced_memory()[0]
+
+        def end(stage):
+            rises[stage] = tracemalloc.get_traced_memory()[1] - levels[stage]
+
+        def forwarded(*args, **kw):
+            out = forward(*args, **kw)
+            start("rollout")
+            return out
+
+        def rolled_out(*args, **kw):
+            out = rollout(*args, **kw)
+            end("rollout")
+            start("sweep")
+            return out
+
+        def backwarded(*args, **kw):
+            end("sweep")
+            return backward(*args, **kw)
+
+        monkeypatch.setattr(net, "mlp_forward", forwarded)
+        monkeypatch.setattr(solver, "rollout", rolled_out)
+        monkeypatch.setattr(net, "mlp_backward", backwarded)
+        state = solver.init_state(spec)
+        tracemalloc.start()
+        try:
+            solver.train_step(state, spec, 2)
+        finally:
+            tracemalloc.stop()
+        date_array = 250 * 100 * 8
+        assert 0 <= rises["rollout"] < date_array
+        assert 0 <= rises["sweep"] < date_array
+
     @pytest.mark.parametrize("embed_dim", [None, 2])
     def test_batch_arrays_die_with_their_last_reader(self, monkeypatch, embed_dim):
         # a plain stream's fine grid is dead once the payoffs are taken; a
