@@ -63,8 +63,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _signature(nodes, depth):
-    """Signature levels of the piecewise-linear path through ``(n, d)`` nodes."""
-    return engine.signature_scan(np.diff(nodes, axis=0), depth)
+    """Signature levels of the piecewise-linear path through ``(n, d)`` nodes:
+    the last slot of the checkpoint scan over one block."""
+    inc = np.diff(nodes, axis=0)
+    return [lvl[-1] for lvl in engine.checkpoint_scan(inc, len(inc), depth)]
 
 
 def _selftest_checks():
@@ -73,7 +75,10 @@ def _selftest_checks():
     def chen_split():
         nodes = rng.standard_normal((9, 2))
         full = _signature(nodes, 3)
-        joined = engine.product(_signature(nodes[:5], 3), _signature(nodes[4:], 3))
+        head, tail = _signature(nodes[:5], 3), _signature(nodes[4:], 3)
+        # head ⊗ tail: both summed, plus the cross terms that level 1 lacks
+        joined = [x + y if c is None else x + y + c
+                  for x, y, c in zip(head, tail, engine._next_power(head, tail, 2))]
         return all(np.allclose(a, b, rtol=1e-12, atol=1e-14) for a, b in zip(full, joined))
 
     def shuffle_level2():
@@ -154,7 +159,7 @@ def _selftest_checks():
         grid, sig = sde.GridSpec(1.0, 40, 4), np.array([0.0, 0.3, 1.0])
         model = sde.ModelSpec.geometric((10.0, 10.0, 2.0), 0.05, sig)
         batch = sde.simulate_batch(model, grid, 4, seed=3, path_offset=7)
-        dw = sde.brownian_increments(grid, 3, batch.path_ids, np.empty((4, 40, 3)))
+        dw = sde._draw(grid, 3, np.arange(7, 11), np.empty((4, 40, 3)))
         growth = 10.0 * np.exp(0.05 * grid.h * np.arange(41))
         return (np.allclose(batch.states[..., 0], growth, rtol=1e-12, atol=0)
                 and np.allclose(np.diff(np.log(batch.states), axis=1),

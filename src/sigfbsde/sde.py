@@ -20,7 +20,7 @@ of this module; every bit is the same whatever the thread count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,8 +133,6 @@ class PathBatch:
     states: np.ndarray             # (B, n_fine+1, d)
     coarse_increments: np.ndarray  # (B, n_coarse, d)
     grid: GridSpec
-    seed: int
-    path_ids: np.ndarray = field(default=None)
 
     @property
     def batch_size(self) -> int:
@@ -185,22 +183,6 @@ def _draw(grid: GridSpec, seed: int, path_ids: np.ndarray,
         gen.standard_normal(out=out[row])
     out *= np.sqrt(grid.h)
     return out
-
-
-def brownian_increments(grid: GridSpec, seed: int, path_ids: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-    """Draw N(0, h) increments into ``out`` from one Philox stream per path id.
-
-    ``out`` has shape ``(len(path_ids), n_fine, d)``, and each ``out[row]``
-    must be C-contiguous (rows ``1..n_fine`` of a state buffer are).  The
-    stream key is ``(seed, path_id)``, so a path's increments are
-    bit-identical however the batch is sliced or ordered, and equal to the
-    ones :func:`simulate_batch` draws for it.  Returns ``out``.
-    """
-    if out.shape[:2] != (len(path_ids), grid.n_fine):
-        raise ValueError(f"increment buffer of shape {out.shape} does not hold "
-                         f"{len(path_ids)} paths of {grid.n_fine} steps")
-    return _draw(grid, seed, path_ids, out)
 
 
 def thread_count() -> int:
@@ -276,7 +258,7 @@ def simulate_batch(model: ModelSpec, grid: GridSpec, batch_size: int,
         _simulate_rows(model, grid, seed, path_ids[a:b], states[a:b], coarse_increments[a:b])
 
     _run_blocks(rows, _row_blocks(batch_size, grid.n_fine, model.dim))
-    return PathBatch(states, coarse_increments, grid, seed, path_ids)
+    return PathBatch(states, coarse_increments, grid)
 
 
 def running_integral(batch: PathBatch, weights) -> np.ndarray:

@@ -14,8 +14,7 @@ checkpoint scan is one pass of cumulative sums over the whole path: the
 prefix up to a step is the one before it times ``exp(x)``, so level ``k``
 gains ``T_k⊗x``, one Horner recursion in the lower levels' sums (the fused
 multiply-exponentiate of Signatory, Kidger & Lyons 2021).  Its VJP runs the
-recursion backwards; the sequential Chen scan (:func:`signature_scan`) is
-the reference both are tested against.
+recursion backwards.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ def sig_width(channels: int, depth: int) -> int:
 
 def level_sizes(channels: int, depth: int) -> list[int]:
     return [channels ** k for k in range(1, depth + 1)]
-
-
-def identity_levels(batch_shape: tuple, channels: int, depth: int) -> Levels:
-    """Levels of the identity series (all zero; unit scalar 1 held by caller)."""
-    return [np.zeros(batch_shape + (channels ** k,)) for k in range(1, depth + 1)]
 
 
 def copy_levels(levels: Levels) -> Levels:
@@ -100,51 +94,6 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _outer_columns(a, b)
     out = np.einsum("...i,...j->...ij", a, b)
     return out.reshape(a.shape[:-1] + (na * nb,))
-
-
-def segment_exp(inc: np.ndarray, depth: int) -> Levels:
-    """Signature levels of a straight segment with increment ``inc``.
-
-    Level ``k`` equals ``inc^{⊗k} / k!``; exact for linear segments.
-    """
-    levels = [inc]
-    for k in range(2, depth + 1):
-        levels.append(_outer(levels[-1], inc) / k)
-    return levels
-
-
-def product(a: Levels, b: Levels, unit_a: float = 1.0, unit_b: float = 1.0) -> Levels:
-    """Graded truncated product of two coefficient lists.
-
-    ``out_k = unit_b * a_k + unit_a * b_k + sum_{i=1..k-1} a_i ⊗ b_{k-i}``,
-    with each unit term whose unit is 0 left out; the resulting unit scalar
-    ``unit_a * unit_b`` is the caller's to track.
-    """
-    out = []
-    for k in range(1, len(a) + 1):
-        units = [unit * c[k - 1] for unit, c in ((unit_b, a), (unit_a, b)) if unit]
-        acc = sum(units[1:], units[0]) if units else None
-        for i in range(1, k):
-            term = _outer(a[i - 1], b[k - i - 1])
-            acc = term if acc is None else acc + term
-        out.append(np.zeros_like(a[0]) if acc is None else acc)
-    return out
-
-
-def _step_major(increments: np.ndarray) -> np.ndarray:
-    """Copy to step-major layout so per-step slices are contiguous."""
-    return np.ascontiguousarray(np.moveaxis(increments, -2, 0))
-
-
-def signature_scan(increments: np.ndarray, depth: int) -> Levels:
-    """Signature levels of a piecewise-linear path given segment increments.
-
-    ``increments`` has shape ``(..., n, d)``; the scan runs over axis ``-2``.
-    """
-    levels = identity_levels(increments.shape[:-2], increments.shape[-1], depth)
-    for step in _step_major(increments):
-        levels = product(levels, segment_exp(step, depth))
-    return levels
 
 
 def _horner(x: np.ndarray, depth: int, read=lambda s: None) -> list:
@@ -225,9 +174,9 @@ def _next_power(power: Levels, s: Levels, n: int) -> Levels:
     """``(s-1)^{⊗n}`` from ``power = (s-1)^{⊗(n-1)}``, both with unit 0.
 
     Levels below ``n`` of the result are zero, and so are levels below
-    ``n-1`` of ``power``: only levels ``k ≥ n`` are made, from the blocks
-    ``power_i ⊗ s_{k-i}`` with ``i ≥ n-1``, in :func:`product`'s order, and
-    the levels below are ``None``.
+    ``n-1`` of ``power``: only levels ``k ≥ n`` are made, each the sum of
+    the blocks ``power_i ⊗ s_{k-i}`` with ``i ≥ n-1`` in ascending ``i``,
+    and the levels below are ``None``.
     """
     out: Levels = [None] * len(s)
     for k in range(n, len(s) + 1):
@@ -272,27 +221,12 @@ def _contract_left(cot: np.ndarray, a: np.ndarray, d: int, i: int, j: int) -> np
     return np.einsum("...ij,...i->...j", mat, a)
 
 
-def product_vjp(a: Levels, b: Levels, cot: Levels,
-                unit_a: float = 1.0, unit_b: float = 1.0) -> tuple[Levels, Levels]:
-    """Cotangents of :func:`product` with respect to both factors' levels."""
-    m = len(a)
-    d = int(round(a[0].shape[-1]))
-    grad_a = [unit_b * cot[k - 1] for k in range(1, m + 1)]
-    grad_b = [unit_a * cot[k - 1] for k in range(1, m + 1)]
-    for k in range(1, m + 1):
-        for i in range(1, k):
-            j = k - i
-            grad_a[i - 1] += _contract_right(cot[k - 1], b[j - 1], d, i, j)
-            grad_b[j - 1] += _contract_left(cot[k - 1], a[i - 1], d, i, j)
-    return grad_a, grad_b
-
-
 def log_of_group_vjp(s: Levels, cot: Levels) -> Levels:
     """Cotangent of :func:`log_of_group` with respect to the input levels.
 
     ``log(s) = s + sum_{n=2..m} (-1)**(n+1) / n * u_n`` with :func:`_next_power`'s
     chain ``u_1 = s``, ``u_n = u_{n-1} ⊗ s``, walked back from ``u_m`` over only
-    the blocks it multiplied, in :func:`product_vjp`'s order.
+    the blocks it multiplied, in ascending ``k``, then ascending ``i``.
     """
     m, d = len(s), s[0].shape[-1]
     powers = [s]

@@ -24,14 +24,6 @@ from . import engine
 Word = tuple  # tuple[int, ...] of 1-based letters
 
 
-def lyndon_words(channels: int, max_len: int) -> list[Word]:
-    """All Lyndon words of length <= ``max_len``, length-major then lexicographic."""
-    out: list[Word] = []
-    for length in range(1, max_len + 1):
-        out.extend(_lyndon_words_of_length(channels, length))
-    return out
-
-
 def _lyndon_words_of_length(channels: int, length: int) -> list[Word]:
     # Duval's generation yields words in lexicographic order.
     out = []
@@ -48,30 +40,15 @@ def _lyndon_words_of_length(channels: int, length: int) -> list[Word]:
     return out
 
 
-def _mobius(n: int) -> int:
-    result, p, nn = 1, 2, n
-    while p * p <= nn:
-        if nn % p == 0:
-            nn //= p
-            if nn % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if nn > 1:
-        result = -result
-    return result
-
-
 def lyndon_count(channels: int, max_len: int) -> int:
-    """Witt formula: number of Lyndon words of length <= ``max_len``."""
-    total = 0
+    """Number of Lyndon words of length <= ``max_len``.  A word of length ``k``
+    is a power of one of the ``e`` rotations of a Lyndon word of length ``e | k``,
+    so the counts ``L_e`` solve ``sum_{e|k} e * L_e = channels**k``."""
+    counts = [0]
     for k in range(1, max_len + 1):
-        acc = 0
-        for e in range(1, k + 1):
-            if k % e == 0:
-                acc += _mobius(e) * channels ** (k // e)
-        total += acc // k
-    return total
+        below = sum(e * counts[e] for e in range(1, k) if k % e == 0)
+        counts.append((channels ** k - below) // k)
+    return sum(counts)
 
 
 def _word_offset(word: Word, channels: int) -> int:

@@ -555,7 +555,6 @@ class RunSummary:
     mean: float
     ci_low: float
     ci_high: float
-    estimates: tuple
 
 
 def aggregate_runs(reports: list) -> RunSummary:
@@ -565,4 +564,4 @@ def aggregate_runs(reports: list) -> RunSummary:
     values = np.array([r.final_estimate for r in reports], dtype=float)
     mean = float(values.mean())
     half = 1.96 * float(values.std(ddof=1)) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-    return RunSummary(mean, mean - half, mean + half, tuple(values))
+    return RunSummary(mean, mean - half, mean + half)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from sigfbsde.sigcore import engine
+import reference
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so a slow host cannot turn them red; the example count bounds
@@ -19,7 +20,7 @@ def rng():
 
 def signature(nodes, depth):
     """Signature levels of the piecewise-linear path through ``(n, d)`` nodes."""
-    return engine.signature_scan(np.diff(nodes, axis=0), depth)
+    return reference.signature_scan(np.diff(nodes, axis=0), depth)
 
 
 def whole_path_vjp(increments, cot):

@@ -84,7 +84,7 @@ class TestQuadraticSolution:
             prefix = rng.standard_normal((41, 3))
             batch_states = prefix[None, :, :]
             grid = sde.GridSpec(1.0, 40, 4)
-            pb = sde.PathBatch(batch_states, np.zeros((1, 4, 3)), grid, 0)
+            pb = sde.PathBatch(batch_states, np.zeros((1, 4, 3)), grid)
             payoff = sde.running_integral(pb, np.ones(3))[0, -1] ** 2
             value = oracle.quadratic_pde_solution(1.0, prefix, 1.0)
             assert abs(value - payoff) < 1e-10 * max(1.0, payoff)
@@ -212,7 +212,7 @@ class TestAsianEuropeanMc:
         states = np.empty((3000, grid.n_fine + 1, 2))
         states[:, 1:] = gen.standard_normal((3000, grid.n_fine, 2)) * math.sqrt(grid.h)
         sde._step_states(model, grid.h, states)
-        batch = sde.PathBatch(states, np.empty((3000, grid.n_coarse, 2)), grid, 9)
+        batch = sde.PathBatch(states, np.empty((3000, grid.n_coarse, 2)), grid)
         terminal = sde.running_integral(batch, w)[:, -1]
         expect = math.exp(-0.05 * 2.0) * np.mean(terminal) / grid.horizon
         assert abs(est - expect) <= 1e-13 * expect

@@ -15,15 +15,17 @@ def make_batch(states, horizon=1.0):
     states = np.asarray(states, dtype=float)
     b, n1, d = states.shape
     grid = sde.GridSpec(horizon, n1 - 1, 1)
-    return sde.PathBatch(states, np.zeros((b, 1, d)), grid, seed=0,
-                         path_ids=np.arange(b))
+    return sde.PathBatch(states, np.zeros((b, 1, d)), grid)
 
 
-def redrawn_increments(batch):
-    """The fine increments behind ``batch``, drawn again for its seed and path ids."""
+def redrawn_increments(batch, seed, offset=0):
+    """The fine increments behind ``batch``, simulated with ``seed`` from path id
+    ``offset`` on, drawn again by the documented key: path ``pid``'s are the
+    N(0, h) draws of a freshly keyed ``Philox(key=[seed, pid])``."""
     b, n1, d = batch.states.shape
-    return sde.brownian_increments(batch.grid, batch.seed, batch.path_ids,
-                                   np.empty((b, n1 - 1, d)))
+    gens = (np.random.Generator(np.random.Philox(key=np.array([seed, pid], dtype=np.uint64)))
+            for pid in range(offset, offset + b))
+    return np.stack([gen.standard_normal((n1 - 1, d)) for gen in gens]) * np.sqrt(batch.grid.h)
 
 
 def states_from_increments(model, h, incs):
@@ -76,7 +78,7 @@ class TestSimulate:
         model = sde.ModelSpec.arithmetic_unit(2.0, dim=2)
         grid = sde.GridSpec(1.0, 10, 5)
         batch = sde.simulate_batch(model, grid, 4, seed=3)
-        incs = redrawn_increments(batch)
+        incs = redrawn_increments(batch, 3)
         # rebuild with the same one-step recursion
         expect = np.empty_like(batch.states)
         expect[:, 0, :] = 2.0
@@ -90,7 +92,7 @@ class TestSimulate:
         model = sde.ModelSpec.geometric((10.0, 4.0), 0.05, (0.2, 0.7))
         grid = sde.GridSpec(1.0, 32, 8)
         batch = sde.simulate_batch(model, grid, 6, seed=11)
-        incs = redrawn_increments(batch)
+        incs = redrawn_increments(batch, 11)
         sig, x0 = np.asarray(model.sigma), np.asarray(model.x0)
         w = np.zeros_like(batch.states)
         w[:, 1:] = np.cumsum(incs, axis=1)
@@ -118,8 +120,8 @@ class TestSimulate:
         big = sde.simulate_batch(model, grid, 8, seed=42)
         small = sde.simulate_batch(model, grid, 3, seed=42, path_offset=5)
         np.testing.assert_array_equal(big.states[5:8], small.states)
-        np.testing.assert_array_equal(redrawn_increments(big)[5:8],
-                                      redrawn_increments(small))
+        np.testing.assert_array_equal(redrawn_increments(big, 42)[5:8],
+                                      redrawn_increments(small, 42, 5))
 
     def test_geometric_terminal_mean_matches_moment(self):
         # E[X_T] for the exact dynamics is x0 * exp(r T)
@@ -151,7 +153,7 @@ class TestOneBuffer:
         model = sde.ModelSpec.geometric(10.0, 0.01, 1.0, dim=dim)
         grid = sde.GridSpec(1.0, n_fine, n_coarse)
         batch = sde.simulate_batch(model, grid, 9, seed=17, path_offset=4)
-        incs = redrawn_increments(batch)
+        incs = redrawn_increments(batch, 17, 4)
         sums = incs.reshape(9, n_coarse, grid.fine_per_segment, dim).sum(axis=2)
         np.testing.assert_array_equal(batch.coarse_increments, sums)
 
@@ -174,17 +176,12 @@ class TestOneBuffer:
         # a seed of 2**63 or more keys the stream exactly, as a uint64
         grid = sde.GridSpec(1.0, 6, 2)
         path_ids = np.array([0, 7, 2 ** 40])
-        incs = sde.brownian_increments(grid, seed, path_ids, np.empty((3, 6, 2)))
+        incs = sde._draw(grid, seed, path_ids, np.empty((3, 6, 2)))
         for row, pid in enumerate(path_ids):
             gen = np.random.Generator(
                 np.random.Philox(key=np.array([seed, pid], dtype=np.uint64)))
             expect = gen.standard_normal((6, 2)) * np.sqrt(grid.h)
             assert incs[row].tobytes() == expect.tobytes()
-
-    def test_increment_buffer_shape_checked(self):
-        grid = sde.GridSpec(1.0, 8, 2)
-        with pytest.raises(ValueError):
-            sde.brownian_increments(grid, 0, np.arange(3), np.empty((3, 9, 1)))
 
 
 class TestThreadedBlocks:
@@ -259,7 +256,7 @@ class TestCoarseDates:
         batch = sde.simulate_batch(model, grid, 2, seed=5)
         np.testing.assert_array_equal(batch.states[:, ::grid.fine_per_segment],
                                       batch.states)
-        np.testing.assert_array_equal(batch.coarse_increments, redrawn_increments(batch))
+        np.testing.assert_array_equal(batch.coarse_increments, redrawn_increments(batch, 5))
 
     def test_snapshot_differences_are_coarse_increments(self):
         # unit diffusion: the state moves by the Brownian increment alone
@@ -276,7 +273,7 @@ class TestCoarseDates:
         grid = sde.GridSpec(1.0, 60, 12)
         batch = sde.simulate_batch(model, grid, 4, seed=9)
         np.testing.assert_allclose(batch.coarse_increments.sum(axis=1),
-                                   redrawn_increments(batch).sum(axis=1),
+                                   redrawn_increments(batch, 9).sum(axis=1),
                                    rtol=1e-12, atol=1e-15)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from sigfbsde import net, oracle, sde, solver
 from sigfbsde.sigcore import engine, lyndon
+import reference
 from conftest import signature
 from conftest import central_difference
 
@@ -89,6 +90,17 @@ class TestSpecValidation:
         for depth in (3, 4, 5):
             assert spec(depth, 2).feature_width == engine.sig_width(3, depth)
         assert spec(4, None).depth == 4
+
+    def test_log_signature_width_at_depth_forty_lists_no_words(self):
+        # 21 channels at m=40: listing the words would exhaust memory, so the
+        # width comes from the closed-form count alone
+        spec = constant_payoff_spec(model=sde.ModelSpec.arithmetic_unit(0.0, dim=20),
+                                    depth=40, feature="log-signature")
+        with mock.patch.object(lyndon, "_lyndon_words_of_length",
+                               side_effect=AssertionError):
+            count = lyndon.lyndon_count(21, 40)
+            assert spec.feature_width == count
+        assert 21 ** 40 // 40 < count < 21 ** 40
 
     def test_unknown_method_rejected(self):
         with pytest.raises(solver.SpecError):
@@ -185,7 +197,7 @@ class TestFeatures:
                 # stays well below the tolerance
                 end = n * grid.fine_per_segment + 1
                 prefix = np.stack([times[:end], rescaled[j, :end, 0]], axis=-1)
-                scratch = engine.signature_scan(
+                scratch = reference.signature_scan(
                     np.diff(prefix.astype(np.longdouble), axis=0), spec.depth)
                 np.testing.assert_allclose(features[n, j], engine.flatten_levels(scratch),
                                            rtol=1e-12, atol=1e-13)
